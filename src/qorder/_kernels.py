@@ -1,57 +1,44 @@
 """Hot numeric kernels: compensated Bessel series and oscillatory lobes.
 
-Kernels are compiled with numba's @njit when numba is importable;
-without numba, or with the environment variable QORDER_DISABLE_NUMBA=1
-set before import, the identical pure-Python path runs instead (same
-code, no JIT), which is what benchmarks/bench_kernels.py compares.
-
-The two paths differ in scalar types: @njit returns Python scalars,
-while the pure-Python kernels, reading numpy arrays, return numpy
-scalars.  The Python-facing entry points (``osc_tail`` here and
-``qorder.bessel._j_any``) therefore convert their results to Python
-``float``/``int``, so callers see the same types on both paths.
+Everything here is plain Python over floats, except the lobe quadrature,
+which is numpy code that evaluates whole blocks of lobes at once.
 
 The Bessel power series is accumulated in double-double arithmetic
 (error-free transforms, Dekker splitting) so that the reported absolute
 error bound stays below 1e-10 through the series/asymptotic switch at
 z = 30 despite the alternating-term cancellation.
+
+``osc_tail`` integrates an oscillatory tail lobe by lobe between the
+zeros of its fast factor, each lobe with one 24-point Gauss-Legendre
+panel, and accelerates the alternating lobe sums with an
+iterated-averaging Euler transform: the lobe-wise summation with
+extrapolation of QUADPACK's QAWF (Piessens et al. 1983), with the
+averaging of Sidi, *Practical Extrapolation Methods* (2003).  A block of
+lobes is one (nodes x lobes) array: one ``np.sin``/``np.cos`` call for
+the integrand, a reduction over the node axis, ``np.cumsum`` for the
+partial sums and the averaging applied to the whole partial-sum array.
+Every sum keeps the left-to-right order of a lobe-at-a-time loop, so
+the results do not depend on the block sizes.  ``osc_tail`` returns
+Python ``float``/``int``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-USE_NUMBA = os.environ.get("QORDER_DISABLE_NUMBA", "0") != "1"
-
-if USE_NUMBA:
-    try:
-        from numba import njit as _njit
-
-        def jit(func):
-            return _njit(cache=True, fastmath=False)(func)
-    except ImportError:  # numba not installed: fall back to plain Python
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-    def jit(func):
-        return func
 
 
 # ---------------------------------------------------------------------------
 # double-double building blocks
 # ---------------------------------------------------------------------------
 
-@jit
 def _two_sum(a, b):
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
 
 
-@jit
 def _two_prod(a, b):
     p = a * b
     t = 134217729.0 * a
@@ -64,7 +51,6 @@ def _two_prod(a, b):
     return p, err
 
 
-@jit
 def _dd_add(xh, xl, yh, yl):
     s, e = _two_sum(xh, yh)
     e += xl + yl
@@ -72,7 +58,6 @@ def _dd_add(xh, xl, yh, yl):
     return hi, e - (hi - s)
 
 
-@jit
 def _dd_mul(xh, xl, yh, yl):
     p, e = _two_prod(xh, yh)
     e += xh * yl + xl * yh
@@ -80,7 +65,6 @@ def _dd_mul(xh, xl, yh, yl):
     return hi, e - (hi - p)
 
 
-@jit
 def _dd_div(xh, xl, yh, yl):
     q1 = xh / yh
     ph, pl = _dd_mul(q1, 0.0, yh, yl)
@@ -94,7 +78,7 @@ def _dd_div(xh, xl, yh, yl):
 # gamma function (Lanczos, g = 7, 9 coefficients)
 # ---------------------------------------------------------------------------
 
-_LANCZOS = np.array([
+_LANCZOS = (
     0.99999999999980993,
     676.5203681218851,
     -1259.1392167224028,
@@ -104,10 +88,9 @@ _LANCZOS = np.array([
     -0.13857109526572012,
     9.9843695780195716e-6,
     1.5056327351493116e-7,
-])
+)
 
 
-@jit
 def _gamma_pos(x):
     # Lanczos approximation, valid for x >= 0.5
     x -= 1.0
@@ -118,7 +101,6 @@ def _gamma_pos(x):
     return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
-@jit
 def _gamma(x):
     if x >= 0.5:
         return _gamma_pos(x)
@@ -138,7 +120,6 @@ def _gamma(x):
 # Bessel J: power series (z <= 30) and Hankel asymptotics (z > 30)
 # ---------------------------------------------------------------------------
 
-@jit
 def _j_series(nu, z):
     """(value, rigorous abs error bound); requires k + nu + 1 > 0 for all k."""
     x = 0.5 * z
@@ -173,7 +154,6 @@ def _j_series(nu, z):
     return value, bound
 
 
-@jit
 def _j_asymptotic(nu, z):
     """Hankel expansion for large z: (value, abs error bound)."""
     mu = 4.0 * nu * nu
@@ -207,6 +187,8 @@ def _j_asymptotic(nu, z):
     return value, bound
 
 
+
+
 # ---------------------------------------------------------------------------
 # oscillatory tail integrals
 # ---------------------------------------------------------------------------
@@ -214,120 +196,167 @@ def _j_asymptotic(nu, z):
 # mode 1: sin(a t) cos(q / t) / t   lobes between zeros of sin(a t)
 # mode 2: cos(a t) sin(q / t) / t   lobes between zeros of cos(a t)
 
-@jit
-def _osc_integrand(t, a, q, mode):
-    if mode == 0:
-        return math.sin(t + q / t) / t
-    if mode == 1:
-        return math.sin(a * t) * math.cos(q / t) / t
-    return math.cos(a * t) * math.sin(q / t) / t
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_NODE_COLUMN = _GL_NODES[:, None]
+_WEIGHT_COLUMN = _GL_WEIGHTS[:, None]
+
+_FIRST_BLOCK = 32      # tail lobes in the first block
+_MAX_BLOCK = 1024      # lobes in any block
+_EULER_WINDOW = 40     # partial sums averaged for one estimate
+_MAX_FIRST_LOBE = 10_000_000
 
 
-@jit
-def _lobe_boundary(k, a, q, mode):
+def _lobe_boundaries(k, a, q, mode):
+    """Zero number k of the fast factor, for a scalar or an array k; in
+    mode 0 index k has a zero only where (k pi)^2 >= 4 q."""
     if mode == 0:
         kpi = k * math.pi
-        disc = kpi * kpi - 4.0 * q
-        if disc < 0.0:
-            return -1.0
-        return 0.5 * (kpi + math.sqrt(disc))
+        return 0.5 * (kpi + np.sqrt(kpi * kpi - 4.0 * q))
     if mode == 1:
         return k * math.pi / a
     return (k + 0.5) * math.pi / a
 
 
-@jit
-def _segment(lo, hi, a, q, mode, nodes, weights):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    acc = 0.0
-    for i in range(nodes.shape[0]):
-        t = mid + half * nodes[i]
-        acc += weights[i] * _osc_integrand(t, a, q, mode)
+def _lobe_boundary(k, a, q, mode):
+    """_lobe_boundaries for one index k, or -1.0 where there is no zero."""
+    if mode == 0 and (k * math.pi) * (k * math.pi) - 4.0 * q < 0.0:
+        return -1.0
+    return float(_lobe_boundaries(k, a, q, mode))
+
+
+def _index_estimate(t, a, q, mode):
+    """Real index at which the boundaries pass t, up to rounding."""
+    if mode == 0:
+        # t + q/t = k pi on the branch t >= sqrt(q), where the zeros live
+        root = math.sqrt(q)
+        x = (t + q / t if t > root else 2.0 * root) / math.pi
+    else:
+        x = t * a / math.pi - (0.5 if mode == 2 else 0.0)
+    return int(x) if x < _MAX_FIRST_LOBE else _MAX_FIRST_LOBE + 1
+
+
+def _first_index(holds, k, lowest):
+    """Smallest index j >= lowest where the monotone test holds(j) is
+    true, searched from an estimate k that is off by rounding only."""
+    k = max(k, lowest)
+    while k > lowest and holds(k - 1):
+        k -= 1
+    while not holds(k):
+        k += 1
+    return k
+
+
+def _lobe_integrals(lo, uppers, a, q, mode):
+    """One Gauss-Legendre panel per lobe, over [lo, uppers[0]],
+    [uppers[0], uppers[1]], ...; node sums run left to right."""
+    edges = np.concatenate(((lo,), uppers))
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = mid + half * _NODE_COLUMN
+    if mode == 0:
+        f = np.sin(t + q / t) / t
+    elif mode == 1:
+        f = np.sin(a * t) * np.cos(q / t) / t
+    else:
+        f = np.cos(a * t) * np.sin(q / t) / t
+    terms = _WEIGHT_COLUMN * f
+    # over a single column numpy would sum pairwise; cumsum is sequential
+    acc = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms)[-1:]
     return acc * half
 
 
-@jit
-def _osc_tail(c, a, q, mode, nodes, weights, max_lobes, tol):
-    """integral of the mode integrand over [c, inf).
-
-    Returns (value, error_estimate, converged_flag, lobes_used).
-    Head lobes (where the slow cos(q/t)/sin(q/t) factor still changes
-    sign) are summed directly; beyond them the alternating lobe sums are
-    accelerated with an iterated-averaging Euler transform.
-    """
-    # first lobe boundary at or beyond c
-    k = 0
-    while True:
-        t = _lobe_boundary(k, a, q, mode)
-        if t > c and t > 0.0:
-            break
-        k += 1
-        if k > 10_000_000:
-            return 0.0, 1.0, 0, 0
-    total = 0.0
-    if t > c:
-        total += _segment(c, t, a, q, mode, nodes, weights)
-    # direct summation while the slow factor may change sign
-    slow_limit = 2.0 * q / math.pi if mode != 0 else 0.0
-    prev = t
-    while prev < slow_limit:
-        k += 1
-        t = _lobe_boundary(k, a, q, mode)
-        total += _segment(prev, t, a, q, mode, nodes, weights)
-        prev = t
-    # a few safety lobes so the tail is cleanly alternating
-    for _ in range(4):
-        k += 1
-        t = _lobe_boundary(k, a, q, mode)
-        total += _segment(prev, t, a, q, mode, nodes, weights)
-        prev = t
-    # accelerated alternating tail
-    partials = np.empty(max_lobes + 1, dtype=np.float64)
-    work = np.empty(max_lobes + 1, dtype=np.float64)
-    n = 0
-    estimate = total
-    err = 1e308
-    lobes = 0
-    while lobes < max_lobes:
-        k += 1
-        t = _lobe_boundary(k, a, q, mode)
-        total += _segment(prev, t, a, q, mode, nodes, weights)
-        prev = t
-        partials[n] = total
-        n += 1
-        lobes += 1
-        if n >= 6:
-            m = min(n, 40)
-            for i in range(m):
-                work[i] = partials[n - m + i]
-            width = m
-            prev_est = work[width - 1]
-            while width > 1:
-                for i in range(width - 1):
-                    work[i] = 0.5 * (work[i] + work[i + 1])
-                width -= 1
-                prev_est = work[0] if width == 1 else prev_est
-            new_est = work[0]
-            err = abs(new_est - estimate)
-            estimate = new_est
-            if err < tol:
-                return estimate, err + 1e-15 * (abs(estimate) + 1.0), 1, lobes
-    return estimate, err, 0, lobes
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-_GL_NODES = np.ascontiguousarray(_GL_NODES)
-_GL_WEIGHTS = np.ascontiguousarray(_GL_WEIGHTS)
+def _euler_estimates(history, partials, done):
+    """Iterated-averaging estimates after the partial sums done + 1,
+    done + 2, ... (one per entry of partials), given the last (at most
+    _EULER_WINDOW - 1) sums before them in history.  The estimate after n
+    sums averages the last min(n, _EULER_WINDOW) of them pairwise
+    min(n, _EULER_WINDOW) - 1 times; here w <- (w[:-1] + w[1:]) / 2 runs
+    on the whole array, which does the same additions.  Returns the
+    estimates and the history for the next call."""
+    sums = np.concatenate((history, partials))
+    first = done - history.size      # sums[i] is partial sum first + i + 1
+    last = done + partials.size
+    levels = min(last, _EULER_WINDOW) - 1
+    estimates = np.empty(partials.size)
+    w = sums
+    for level in range(levels + 1):
+        n = level + 1                # the window of sum n starts at sum 1
+        if done < n < _EULER_WINDOW:
+            estimates[n - done - 1] = w[0]
+        if level < levels:
+            w = 0.5 * (w[:-1] + w[1:])
+    if last >= _EULER_WINDOW:
+        n = max(done + 1, _EULER_WINDOW)
+        start = n - _EULER_WINDOW - first
+        estimates[n - done - 1:] = w[start:start + last - n + 1]
+    return estimates, sums[1 - _EULER_WINDOW:]
 
 
 def osc_tail(c, a, q, mode, max_lobes=2000, tol=1e-12):
-    """Python-facing wrapper around the jitted lobe kernel.
+    """integral of the mode integrand over [c, inf).
 
     Returns (value, error_estimate, converged_flag, lobes_used) as
-    (float, float, int, int) on both the numba and the pure-Python path.
+    (float, float, int, int).  The head -- [c, first zero], the lobes
+    where the slow cos(q/t)/sin(q/t) factor may still change sign, and
+    four safety lobes -- is summed directly; beyond it up to max_lobes
+    alternating lobes are summed and accelerated with the Euler
+    transform until two successive estimates (from lobe 6 on) differ by
+    less than tol.
     """
-    value, err, converged, lobes = _osc_tail(
-        float(c), float(a), float(q), mode,
-        _GL_NODES, _GL_WEIGHTS, int(max_lobes), float(tol))
-    return float(value), float(err), int(converged), int(lobes)
+    c, a, q, tol = float(c), float(a), float(q), float(tol)
+    max_lobes = max(int(max_lobes), 0)
+    first = _first_index(
+        lambda j: j > _MAX_FIRST_LOBE or (
+            _lobe_boundary(j, a, q, mode) > c
+            and _lobe_boundary(j, a, q, mode) > 0.0),
+        _index_estimate(c, a, q, mode), 0)
+    if first > _MAX_FIRST_LOBE:
+        return 0.0, 1.0, 0, 0
+    slow_limit = 2.0 * q / math.pi if mode != 0 else 0.0
+    head_lobes = 0
+    if _lobe_boundary(first, a, q, mode) < slow_limit:
+        head_lobes = _first_index(
+            lambda j: not _lobe_boundary(j, a, q, mode) < slow_limit,
+            _index_estimate(slow_limit, a, q, mode), first) - first
+    head = head_lobes + 5            # panels summed directly
+    total_lobes = head + max_lobes
+
+    total = 0.0
+    lo = c
+    estimate = None
+    err = 1e308
+    history = np.empty(0)
+    done = 0                         # panels so far, head included
+    size = min(head + _FIRST_BLOCK, _MAX_BLOCK)
+    while done < total_lobes:
+        count = min(size, total_lobes - done)
+        k = np.arange(first + done, first + done + count, dtype=np.float64)
+        uppers = _lobe_boundaries(k, a, q, mode)
+        sums = np.cumsum(np.concatenate(
+            ((total,), _lobe_integrals(lo, uppers, a, q, mode))))
+        total, lo = sums[-1], uppers[-1]
+        tail_start = head - done     # entry of sums where the head ends
+        done += count
+        size = min(2 * size, _MAX_BLOCK)
+        if done <= head:
+            continue
+        if tail_start >= 0:
+            estimate = sums[tail_start]
+        partials = sums[max(tail_start, 0) + 1:]
+        tail_done = done - head - partials.size
+        estimates, history = _euler_estimates(history, partials, tail_done)
+        skip = max(0, 5 - tail_done)  # estimates start at lobe 6
+        new = estimates[skip:]
+        if not new.size:
+            continue
+        changes = np.abs(new - np.concatenate(((estimate,), new[:-1])))
+        hits = np.flatnonzero(changes < tol)
+        if hits.size:
+            i = hits[0]
+            value = float(new[i])
+            return (value, float(changes[i]) + 1e-15 * (abs(value) + 1.0), 1,
+                    int(tail_done + skip + i + 1))
+        estimate, err = new[-1], changes[-1]
+    if estimate is None:             # no tail lobe
+        estimate = total
+    return float(estimate), float(err), 0, max_lobes

@@ -47,8 +47,7 @@ def _j_any(nu: float, z: float) -> tuple[float, float]:
         value = ((-1.0) ** n) * value
     else:
         value, bound = _j_series(nu, z)
-    # the pure-Python kernel path yields numpy scalars; hand callers the
-    # same Python floats that the numba path returns
+    # Python floats even where the caller passed numpy scalars
     return float(value), float(bound)
 
 

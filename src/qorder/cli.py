@@ -40,6 +40,19 @@ def _float_text(v: float) -> str:
     return repr(float(v))
 
 
+class _UsageError(ValueError):
+    """A command-line value out of its documented range (exit 2)."""
+
+
+def _check_number(option: str, value: float, positive: bool = False) -> None:
+    """Reject a non-finite value, or a value <= 0 where positive=True,
+    with a message that names the option and the value."""
+    if not math.isfinite(value):
+        raise _UsageError(f"{option} must be finite, got {value!r}")
+    if positive and value <= 0:
+        raise _UsageError(f"{option} must be positive, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # normal-order
 # ---------------------------------------------------------------------------
@@ -210,6 +223,8 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError("grid spec must be start:stop:count")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    _check_number("--x-grid start", start)
+    _check_number("--x-grid stop", stop)
     if count < 1:
         raise ValueError("grid count must be >= 1")
     if count == 1:
@@ -219,12 +234,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_solve(args) -> int:
-    if args.E <= 0:
-        print("E must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    if args.hbar <= 0:
-        print("hbar must be positive", file=sys.stderr)
-        return EXIT_USAGE
+    _check_number("--E", args.E, positive=True)
+    _check_number("--hbar", args.hbar, positive=True)
     try:
         grid = _parse_grid(args.x_grid)
     except ValueError as err:
@@ -274,6 +285,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_order_scan(args) -> int:
     values = args.alpha_gamma
+    for v in values:
+        _check_number("--alpha-gamma", v)
+    _check_number("--E", args.E, positive=True)
+    _check_number("--hbar", args.hbar, positive=True)
     if any(v < 0 or v > 1 for v in values):
         print("alpha*gamma values must lie in [0, 1]", file=sys.stderr)
         return EXIT_USAGE
@@ -339,7 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="reconstruct the coordinate eigenfunction")
     p.add_argument("--E", type=float, required=True)
     p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--x-grid", default="0:4:17")
+    p.add_argument("--x-grid", default="0:4:17",
+                   help="start:stop:count; write a grid that starts below "
+                        "zero as --x-grid=-2:4:7 (default 0:4:17)")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
@@ -358,6 +375,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as err:
+        print(err, file=sys.stderr)
+        return EXIT_USAGE
     except (ScalarError, OrderingError, BesselDomainError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN

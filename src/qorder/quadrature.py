@@ -33,13 +33,11 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureSpec:
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    tail_cutoff: float = 1e8   # P_max: hard upper limit on lobe boundaries
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.tail_cutoff <= 0:
-            raise ValueError("tolerances and tail cutoff must be positive")
+        if self.abs_tol <= 0:
+            raise ValueError("tolerance must be positive")
         if self.max_subdivisions < 10:
             raise ValueError("max subdivisions too small")
 

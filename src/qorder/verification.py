@@ -122,7 +122,6 @@ def momentum_ode_residual(psi: MomentumEigenfunction, grid,
 class Reconstruction:
     value: complex
     abs_error: float
-    converged: bool
 
 
 def fourier_reconstruct_detailed(psi: MomentumEigenfunction, x: float,
@@ -139,20 +138,16 @@ def fourier_reconstruct_detailed(psi: MomentumEigenfunction, x: float,
     a = x / psi.hbar
     b = psi.E / psi.hbar
     if psi.N == 0:
-        return Reconstruction(0j, 0.0, True)
-    try:
-        if x >= 0:
-            integral, err = sin_phase_integral(a, b, spec)
-        else:
-            # sin(b/p - |a| p) = sin(b/p)cos(|a| p) - cos(b/p)sin(|a| p)
-            s1, e1 = sin_cos_integral(-a, b, spec, sin_fast=False)
-            s2, e2 = sin_cos_integral(-a, b, spec, sin_fast=True)
-            integral, err = s1 - s2, e1 + e2
-    except QuadratureError as exc:
-        raise QuadratureError("quadrature failed to converge",
-                              value=exc.value, error=exc.error) from None
+        return Reconstruction(0j, 0.0)
+    if x >= 0:
+        integral, err = sin_phase_integral(a, b, spec)
+    else:
+        # sin(b/p - |a| p) = sin(b/p)cos(|a| p) - cos(b/p)sin(|a| p)
+        s1, e1 = sin_cos_integral(-a, b, spec, sin_fast=False)
+        s2, e2 = sin_cos_integral(-a, b, spec, sin_fast=True)
+        integral, err = s1 - s2, e1 + e2
     scale = 2j * psi.N
-    return Reconstruction(scale * integral, abs(scale) * err, True)
+    return Reconstruction(scale * integral, abs(scale) * err)
 
 
 def fourier_reconstruct(psi: MomentumEigenfunction, x: float,

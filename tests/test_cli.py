@@ -117,6 +117,38 @@ def test_solve_rejects_nonpositive_energy():
     assert "E must be positive" in proc.stderr
 
 
+def test_solve_rejects_nonfinite_energy():
+    proc = run_cli("solve", "--E", "nan", "--x-grid", "0:1:2")
+    assert proc.returncode == 2
+    assert proc.stderr == "--E must be finite, got nan\n"
+    assert proc.stdout == ""
+
+
+def test_solve_rejects_infinite_hbar():
+    proc = run_cli("solve", "--E", "1", "--hbar", "inf", "--x-grid", "0:1:3")
+    assert proc.returncode == 2
+    assert proc.stderr == "--hbar must be finite, got inf\n"
+    assert proc.stdout == ""
+
+
+def test_solve_rejects_nonfinite_grid_ends():
+    for grid, message in (("nan:1:3", "--x-grid start must be finite, got nan"),
+                          ("0:inf:3", "--x-grid stop must be finite, got inf")):
+        proc = run_cli("solve", "--E", "1", "--x-grid", grid)
+        assert proc.returncode == 2, grid
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_solve_negative_grid_with_equals_form():
+    proc = run_cli("solve", "--E", "1", "--x-grid=-2:4:7")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().split("\n")
+    assert len(lines) == 8
+    assert [float(line.split(",")[0]) for line in lines[1:]] == \
+        [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+
+
 def test_solve_bad_grid():
     proc = run_cli("solve", "--E", "1", "--x-grid", "0:1")
     assert proc.returncode == 2
@@ -163,6 +195,21 @@ def test_order_scan_range_check():
     proc = run_cli("order-scan", "--alpha-gamma", "1.5")
     assert proc.returncode == 2
     assert "must lie in [0, 1]" in proc.stderr
+
+
+def test_order_scan_rejects_nonfinite_coupling():
+    proc = run_cli("order-scan", "--alpha-gamma", "0.25", "nan")
+    assert proc.returncode == 2
+    assert proc.stderr == "--alpha-gamma must be finite, got nan\n"
+    assert proc.stdout == ""
+
+
+def test_order_scan_rejects_nonpositive_energy_as_usage_error():
+    for option, value in (("--E", "-1"), ("--hbar", "0")):
+        proc = run_cli("order-scan", "--alpha-gamma", "0.1", option, value)
+        assert proc.returncode == 2, option
+        assert proc.stderr == \
+            f"{option} must be positive, got {float(value)!r}\n"
 
 
 # -- determinism ---------------------------------------------------------------------
