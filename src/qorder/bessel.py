@@ -38,7 +38,9 @@ def _j_any(nu: float, z: float) -> tuple[float, float]:
             return 0.0, 0.0
         if nu == round(nu):
             return (1.0, 0.0) if nu % 2 == 0 else (0.0, 0.0)
-        raise BesselDomainError("domain error")
+        raise BesselDomainError(
+            "domain error: J_nu(0) needs an integer or nonnegative order, "
+            f"got nu={nu!r}")
     if z > _SERIES_ASYMPTOTIC_SWITCH:
         value, bound = _j_asymptotic(nu, z)
     elif nu < 0.0 and nu == round(nu):
@@ -53,9 +55,12 @@ def _j_any(nu: float, z: float) -> tuple[float, float]:
 
 def bessel_j(nu: float, z: float) -> BesselEval:
     """J_nu(z) for nu >= 0, 0 <= z <= 1e4, with an absolute error bound."""
-    if nu < 0.0 or z < 0.0 or z > _Z_MAX or not (math.isfinite(nu)
-                                                 and math.isfinite(z)):
-        raise BesselDomainError("domain error")
+    if not (math.isfinite(nu) and nu >= 0.0):
+        raise BesselDomainError(
+            f"domain error: bessel_j needs finite nu >= 0, got nu={nu!r}")
+    if not 0.0 <= z <= _Z_MAX:
+        raise BesselDomainError(
+            f"domain error: bessel_j needs 0 <= z <= 1e4, got z={z!r}")
     value, bound = _j_any(nu, z)
     return BesselEval(nu, z, value, bound)
 
@@ -67,10 +72,17 @@ def bessel_j_derivatives(nu: float, z: float) -> tuple[float, float, float]:
     + J_{nu+2}) / 4, so the second derivative is independent of the
     Bessel ODE and the ODE residual is a genuine consistency check.
     """
-    if nu < 0.0 or z < 0.0 or z > _Z_MAX:
-        raise BesselDomainError("domain error")
+    if nu < 0.0:
+        raise BesselDomainError(
+            f"domain error: bessel_j_derivatives needs nu >= 0, got nu={nu!r}")
+    if z < 0.0 or z > _Z_MAX:
+        raise BesselDomainError(
+            "domain error: bessel_j_derivatives needs 0 <= z <= 1e4, "
+            f"got z={z!r}")
     if z == 0.0 and 0.0 < nu < 2.0:
-        raise BesselDomainError("domain error")
+        raise BesselDomainError(
+            "domain error: bessel_j_derivatives needs z > 0 for 0 < nu < 2, "
+            f"got nu={nu!r} at z=0")
     j = _j_any(nu, z)[0]
     jm = _j_any(nu - 1.0, z)[0]
     jp = _j_any(nu + 1.0, z)[0]
@@ -82,7 +94,9 @@ def bessel_j_derivatives(nu: float, z: float) -> tuple[float, float, float]:
 def bessel_first_zero(nu: float) -> float:
     """Smallest positive zero of J_nu for 0 <= nu <= 2, by bisection."""
     if not 0.0 <= nu <= 2.0:
-        raise BesselDomainError("domain error")
+        raise BesselDomainError(
+            "domain error: bessel_first_zero needs 0 <= nu <= 2, "
+            f"got nu={nu!r}")
     lo = 1e-6
     hi = lo
     step = 0.1

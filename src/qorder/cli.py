@@ -246,16 +246,22 @@ def _cmd_solve(args) -> int:
     rows = []
     any_failed = False
     for x in grid:
-        target = bessel_j(0.0, 2.0 * math.sqrt(args.E * abs(x)) / args.hbar)
         try:
             rec = fourier_reconstruct_detailed(psi, x, spec)
             value, failed = rec.value, False
         except QuadratureError as err:
             value = complex(err.value) if err.value is not None else 0j
             failed = True
-            any_failed = True
-        ratio = value / target.value if target.value != 0 else complex("nan")
-        rows.append((x, value, target.value, ratio, failed))
+        try:
+            j0 = bessel_j(0.0, 2.0 * math.sqrt(args.E * abs(x))
+                          / args.hbar).value
+        except BesselDomainError:
+            # the row's Bessel target is out of range; flag it like a
+            # quadrature failure and go on
+            j0, failed = math.nan, True
+        any_failed = any_failed or failed
+        ratio = value / j0 if j0 != 0 else complex("nan")
+        rows.append((x, value, j0, ratio, failed))
 
     def render(stream):
         if args.format == "json":

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
 from .exponents import ExponentExpr
 from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
                         func_power, p_power, x_power)
@@ -384,84 +382,67 @@ def _factor_text(f: Factor) -> str:
     return f"{base}^{_exponent_text(f.exponent)}"
 
 
-def _monomial_pieces(rational: Fraction, has_i: bool, powers: dict) -> list[str]:
+def _term_pieces(monomial, value, imaginary: bool) -> list[str]:
     pieces = []
-    if abs(rational) != 1 or (not powers and not has_i):
-        pieces.append(_fraction_text(abs(rational)))
-    if has_i:
+    if abs(value) != 1 or (not monomial and not imaginary):
+        pieces.append(_fraction_text(abs(value)))
+    if imaginary:
         pieces.append("i")
-    for sym in sorted(powers, key=lambda s: str(s)):
-        k = powers[sym]
-        pieces.append(str(sym) if k == 1 else f"{sym}^{k}")
+    for name, k in monomial:
+        pieces.append(name if k == 1 else f"{name}^{k}")
     return pieces
 
 
-def _scalar_terms(expr: sympy.Expr) -> list[tuple[int, list[str]]]:
-    """Decompose a polynomial sympy expression into signed monomial pieces."""
-    terms = []
-    for term in sympy.Add.make_args(sympy.expand(expr)):
-        coeff, rest = term.as_coeff_Mul()
-        if not coeff.is_Rational:
-            raise ScalarError(f"cannot print coefficient term {term}")
-        has_i = False
-        powers = {}
-        if rest != 1:
-            for base, k in rest.as_powers_dict().items():
-                if base is sympy.S.NegativeOne and k == sympy.Rational(1, 2):
-                    has_i = True
-                elif base is sympy.I:
-                    has_i = bool(int(k) % 2)  # I^2 folds into the rational
-                elif base.is_Symbol:
-                    powers[base] = int(k)
-                else:
-                    raise ScalarError(f"cannot print coefficient term {term}")
-        sign = -1 if coeff < 0 else 1
-        rational = Fraction(int(coeff.p), int(coeff.q))
-        terms.append((sign, _monomial_pieces(rational, has_i, powers)))
-    return terms
+def _signed_terms(terms) -> list[tuple[int, list[str]]]:
+    """Signed monomial pieces, the real part of a term before its i part."""
+    out = []
+    for monomial, re, im in terms:
+        for value, imaginary in ((re, False), (im, True)):
+            if value:
+                out.append((-1 if value < 0 else 1,
+                            _term_pieces(monomial, value, imaginary)))
+    return out
+
+
+def _sum_text(terms: list[tuple[int, list[str]]]) -> str:
+    body = ""
+    for i, (sign, pieces) in enumerate(terms):
+        chunk = " * ".join(pieces)
+        if i == 0:
+            body = ("-" if sign < 0 else "") + chunk
+        else:
+            body += (" - " if sign < 0 else " + ") + chunk
+    return f"({body})"
 
 
 def _coefficient_text(s: ScalarExpr) -> tuple[int, str]:
     """(sign, text) for a coefficient; multi-term coefficients get parens."""
-    num, den = sympy.fraction(s.expr)
-    if den.is_Rational and den != 1:
-        num, den = num / den, sympy.Integer(1)
-    if not den.free_symbols and not den.is_Rational:
-        # e.g. a Gaussian-rational denominator: clear it
-        num, den = sympy.expand(num * sympy.conjugate(den)), sympy.Abs(den) ** 2
-        num, den = sympy.cancel(num / den), sympy.Integer(1)
-        num, den = sympy.fraction(num)
-    num_terms = _scalar_terms(num)
+    num, den = s.as_fraction()
+    num_terms = _signed_terms(num)
+    if not num_terms:
+        return 1, "0"
     if len(num_terms) == 1:
         sign, pieces = num_terms[0]
-        text = " * ".join(pieces) if pieces else "1"
+        text = " * ".join(pieces)
     else:
-        sign = 1
-        body = ""
-        for i, (tsign, pieces) in enumerate(num_terms):
-            chunk = " * ".join(pieces) if pieces else "1"
-            if i == 0:
-                body = ("-" if tsign < 0 else "") + chunk
-            else:
-                body += (" - " if tsign < 0 else " + ") + chunk
-        text = f"({body})"
-    if den != 1:
-        den_terms = _scalar_terms(den)
-        if len(den_terms) == 1 and den_terms[0][0] > 0:
-            den_text = " * ".join(den_terms[0][1]) or "1"
-            if len(den_terms[0][1]) > 1:
-                den_text = f"({den_text})"
-        else:
-            body = ""
-            for i, (tsign, pieces) in enumerate(den_terms):
-                chunk = " * ".join(pieces) if pieces else "1"
-                if i == 0:
-                    body = ("-" if tsign < 0 else "") + chunk
-                else:
-                    body += (" - " if tsign < 0 else " + ") + chunk
-            den_text = f"({body})"
-        text = f"{text} * {den_text}^-1" if text != "1" else f"{den_text}^-1"
+        sign, text = 1, _sum_text(num_terms)
+    if den is not None:
+        inverse = _inverse_text(den)
+        text = f"{text} * {inverse}" if text != "1" else inverse
     return sign, text
+
+
+def _inverse_text(den) -> str:
+    """den^-1 for a denominator from ScalarExpr.as_fraction, which has a
+    parameter in every term and a positive leading term."""
+    den_terms = _signed_terms(den)
+    if len(den_terms) > 1:
+        return _sum_text(den_terms) + "^-1"
+    pieces = den_terms[0][1]
+    if len(pieces) == 1:  # one parameter: alpha^-2, not alpha^2^-1
+        ((name, k),) = den[0][0]
+        return f"{name}^-{k}"
+    return "(" + " * ".join(pieces) + ")^-1"
 
 
 _GENERIC_POINT: dict[str, float] = {}

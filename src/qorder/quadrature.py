@@ -69,7 +69,8 @@ def sin_phase_integral(a: float, b: float,
     pi J_0(2 sqrt(ab))).
     """
     if a < 0 or b < 0:
-        raise ValueError("domain error")
+        raise ValueError("domain error: sin_phase_integral needs a, b >= 0, "
+                         f"got a={a!r}, b={b!r}")
     if a == 0.0 and b == 0.0:
         return 0.0, 0.0
     if a == 0.0 or b == 0.0:
@@ -94,7 +95,8 @@ def sin_cos_integral(a: float, b: float, spec: QuadratureSpec,
     Both equal (pi/2) J_0(2 (a^2 b^2)^(1/4)) for a, b > 0.
     """
     if a <= 0 or b <= 0:
-        raise ValueError("domain error")
+        raise ValueError("domain error: sin_cos_integral needs a, b > 0, "
+                         f"got a={a!r}, b={b!r}")
     split = math.sqrt(b / a)
     q = a * b
     outer_mode = 1 if sin_fast else 2

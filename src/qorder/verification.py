@@ -164,7 +164,8 @@ def verify_integral_identity(a: float, b: float,
     sin(b/u)cos(au) orderings respectively.
     """
     if a <= 0 or b <= 0:
-        raise ValueError("domain error")
+        raise ValueError("domain error: verify_integral_identity needs "
+                         f"a, b > 0, got a={a!r}, b={b!r}")
     spec = spec or QuadratureSpec.from_env()
     target = 0.5 * math.pi * bessel_j(0.0, 2.0 * (a * a * b * b) ** 0.25).value
     v1, _ = sin_cos_integral(a, b, spec, sin_fast=True)
@@ -180,8 +181,10 @@ def coordinate_ode_residual(psi: CoordinateEigenfunction, alpha_gamma: float,
     """Residual of x^2 psi'' + x psi' - (alpha gamma) psi + (E/hbar^2) x psi,
     normalized by the largest term magnitude at each point."""
     grid = tuple(float(x) for x in grid)
-    if any(x <= 0.0 for x in grid):
-        raise ValueError("domain error")
+    for x in grid:
+        if x <= 0.0:
+            raise ValueError("domain error: coordinate_ode_residual needs "
+                             f"grid points x > 0, got x={x!r}")
     residuals = []
     for x in grid:
         z = 2.0 * math.sqrt(E * x) / hbar
@@ -218,7 +221,8 @@ def determine_bessel_order(alpha_gamma: float, E: float = 1.0,
     followed by golden-section refinement.
     """
     if not 0.0 <= alpha_gamma <= 1.0:
-        raise ValueError("domain error")
+        raise ValueError("domain error: determine_bessel_order needs "
+                         f"0 <= alpha_gamma <= 1, got {alpha_gamma!r}")
     step = 0.01
     best_nu, best_res = 0.0, math.inf
     nu = 0.0

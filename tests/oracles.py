@@ -4,22 +4,96 @@ Realizes every operator word as a differential operator acting on a
 sympy test function of a positive symbol x (p acts as -i hbar d/dx) and
 compares both sides by symbolic expansion.  This shares no code with
 the rewrite engine, so agreement is a genuine cross-check.
+
+Also holds the sympy side of the exact scalars: conversion of a
+coefficient to and from a sympy expression, and the evaluation,
+differentiation and substitution that only the tests need.
 """
+
+import math
 
 import sympy
 
 from qorder.operators import BaseKind
-from qorder.scalars import sympy_symbol
+from qorder.scalars import ScalarError, ScalarExpr
 
 X = sympy.Symbol("x", positive=True)
-HBAR = sympy_symbol("hbar")
+HBAR = sympy.Symbol("hbar", positive=True)
+
+
+def symbol(name):
+    """The real sympy symbol of a parameter; hbar is positive."""
+    return HBAR if name == "hbar" else sympy.Symbol(name, real=True)
+
+
+def _rational(value):
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def _poly_to_sympy(terms):
+    total = sympy.Integer(0)
+    for monomial, re, im in terms:
+        term = _rational(re) + sympy.I * _rational(im)
+        for name, k in monomial:
+            term *= symbol(name) ** k
+        total += term
+    return total
+
+
+def to_sympy(s: ScalarExpr):
+    """The coefficient as a sympy expression."""
+    num, den = s.as_fraction()
+    if den is None:
+        return _poly_to_sympy(num)
+    return _poly_to_sympy(num) / _poly_to_sympy(den)
+
+
+def from_sympy(expr) -> ScalarExpr:
+    """A sympy rational expression in I and real symbols as a scalar."""
+    if expr.is_Add:
+        return sum(map(from_sympy, expr.args), ScalarExpr(0))
+    if expr.is_Mul:
+        return math.prod(map(from_sympy, expr.args), start=ScalarExpr(1))
+    if expr.is_Pow and expr.exp.is_Integer:
+        return from_sympy(expr.base) ** int(expr.exp)
+    if expr is sympy.I:
+        return ScalarExpr.i()
+    if expr.is_Rational:
+        return ScalarExpr.number(int(expr.p), int(expr.q))
+    if expr.is_Symbol:
+        return ScalarExpr.param(expr.name)
+    raise ScalarError(f"unsupported scalar subexpression: {expr!r}")
+
+
+def scalar_eval(s: ScalarExpr, bindings: dict) -> complex:
+    """Numeric value with every free parameter bound."""
+    values = {symbol(str(k)): sympy.sympify(v) for k, v in bindings.items()}
+    missing = s.free_params() - {str(k) for k in bindings}
+    if missing:
+        raise ScalarError("unbound parameter: " + ", ".join(sorted(missing)))
+    num, den = s.as_fraction()
+    den_val = (1 if den is None
+               else complex(_poly_to_sympy(den).subs(values).evalf()))
+    if den_val == 0:
+        raise ScalarError("pole at binding")
+    return complex(_poly_to_sympy(num).subs(values).evalf()) / den_val
+
+
+def scalar_diff(s: ScalarExpr, name) -> ScalarExpr:
+    return from_sympy(sympy.cancel(sympy.diff(to_sympy(s), symbol(name))))
+
+
+def scalar_subs(s: ScalarExpr, name, value) -> ScalarExpr:
+    """Exact substitution of a parameter by a rational or scalar."""
+    value = value if isinstance(value, ScalarExpr) else ScalarExpr(value)
+    return from_sympy(sympy.cancel(
+        to_sympy(s).subs(symbol(name), to_sympy(value))))
 
 
 def exponent_to_sympy(e):
-    total = sympy.Rational(e.const.numerator, e.const.denominator)
+    total = _rational(e.const)
     for name, coeff in e.linear:
-        total += (sympy.Rational(coeff.numerator, coeff.denominator)
-                  * sympy_symbol(name))
+        total += _rational(coeff) * symbol(name)
     return total
 
 
@@ -45,7 +119,7 @@ def apply_operator(e, phi):
         expr = phi
         for f in reversed(word.factors):
             expr = _apply_factor(f, expr)
-        total += word.coefficient.expr * expr
+        total += to_sympy(word.coefficient) * expr
     return sympy.expand(total)
 
 

@@ -135,6 +135,9 @@ def test_domain_errors():
         bessel_j(0.0, -1.0)
     with pytest.raises(BesselDomainError, match="domain error"):
         bessel_j(0.0, 2e4)
+    with pytest.raises(BesselDomainError,
+                       match=r"bessel_j needs 0 <= z <= 1e4, got z=20000\.0"):
+        bessel_j(0.0, 2e4)
     with pytest.raises(BesselDomainError, match="domain error"):
         bessel_j_derivatives(0.5, 0.0)
     with pytest.raises(BesselDomainError, match="domain error"):

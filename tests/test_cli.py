@@ -1,6 +1,7 @@
 """CLI contract: golden outputs, exit codes, determinism, formats."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -165,6 +166,21 @@ def test_solve_partial_results_on_failure():
     assert any(line.endswith("true") for line in lines[1:])
 
 
+def test_solve_flags_out_of_domain_bessel_row():
+    """At x = 4e7 the Bessel argument 2 sqrt(E x) / hbar is above 1e4: that
+    row is flagged and the rows before it are unchanged."""
+    proc = run_cli("solve", "--E", "1", "--x-grid=0:4e7:3")
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stdout.strip().split("\n")
+    assert len(lines) == 4
+    shorter = run_cli("solve", "--E", "1", "--x-grid=0:2e7:2")
+    assert shorter.returncode == 0
+    assert lines[:3] == shorter.stdout.strip().split("\n")
+    x, psi_re, psi_im, j0, ratio_re, ratio_im, failed = lines[3].split(",")
+    assert float(x) == 4e7 and math.isfinite(float(psi_im))
+    assert (j0, ratio_re, ratio_im, failed) == ("nan", "nan", "nan", "true")
+
+
 def test_solve_out_file(tmp_path):
     out = tmp_path / "recon.csv"
     proc = run_cli("solve", "--E", "1", "--x-grid", "0:1:3",
@@ -210,6 +226,17 @@ def test_order_scan_rejects_nonpositive_energy_as_usage_error():
         assert proc.returncode == 2, option
         assert proc.stderr == \
             f"{option} must be positive, got {float(value)!r}\n"
+
+
+def test_cli_does_not_import_sympy():
+    code = ("import sys, qorder.cli; "
+            "qorder.cli.main(['normal-order', 'x * p']); "
+            "assert 'sympy' not in sys.modules "
+            "and 'mpmath' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "x * p\n"
 
 
 # -- determinism ---------------------------------------------------------------------

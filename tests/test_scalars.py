@@ -1,14 +1,21 @@
 """Exact scalar field: arithmetic, conjugation, evaluation, errors."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qorder.operators import OperatorExpr, p_power, x_power
+from qorder.ordering import Convention, normal_order
+from qorder.parser import parse_operator, print_operator
 from qorder.scalars import (HBAR, I, ONE, ZERO, ParamSymbol, ScalarError,
                             ScalarExpr)
+
+from oracles import scalar_diff, scalar_eval, scalar_subs, symbol, to_sympy
 
 
 def test_constructors():
@@ -66,34 +73,38 @@ def test_conjugation():
 def test_eval_binds_parameters():
     a = ScalarExpr.param("alpha")
     z = (a * a + ONE) / (a - ScalarExpr(2))
-    val = z.eval({"alpha": 3})
+    val = scalar_eval(z, {"alpha": 3})
     assert abs(val - 10.0) < 1e-12
     with pytest.raises(ScalarError, match="unbound parameter: alpha"):
-        z.eval({})
+        scalar_eval(z, {})
     with pytest.raises(ScalarError, match="pole at binding"):
-        z.eval({"alpha": 2})
+        scalar_eval(z, {"alpha": 2})
 
 
 def test_eval_imaginary():
     z = I * HBAR
-    assert z.eval({"hbar": 2}) == 2j
+    assert scalar_eval(z, {"hbar": 2}) == 2j
 
 
 def test_diff_and_subs():
     a = ScalarExpr.param("alpha")
     g = ScalarExpr.param("gamma")
     f = a * g + a
-    assert f.diff("alpha") == g + ONE
-    assert f.subs_param("gamma", 0) == a
-    assert not f.subs_param("alpha", 0).depends_on("alpha")
+    assert scalar_diff(f, "alpha") == g + ONE
+    assert scalar_subs(f, "gamma", 0) == a
+    assert not scalar_subs(f, "alpha", 0).depends_on("alpha")
 
 
 def test_fragment_restrictions():
-    import sympy
-    with pytest.raises(ScalarError):
-        ScalarExpr(sympy.sin(sympy.Symbol("t")))
-    with pytest.raises(ScalarError):
-        ScalarExpr(sympy.Symbol("t") ** sympy.Rational(1, 2))
+    """Only ints, Fractions and parameters build a scalar."""
+    t = sympy.Symbol("t")
+    for value in (1.5, 2.0, 1j, complex(1, 0), "alpha", None,
+                  sympy.sin(t), t ** sympy.Rational(1, 2), t, sympy.I,
+                  sympy.Integer(2), sympy.Rational(1, 2)):
+        with pytest.raises(ScalarError):
+            ScalarExpr(value)
+        with pytest.raises(ScalarError):
+            ONE + value
 
 
 def test_no_hashing():
@@ -124,9 +135,9 @@ _small = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
 def test_eval_is_ring_homomorphism(a, b, va, vb):
     """eval commutes with + and * up to a few ulps."""
     env = {"alpha": va, "beta": vb}
-    s = (a + b).eval(env)
-    p = (a * b).eval(env)
-    ea, eb = a.eval(env), b.eval(env)
+    s = scalar_eval(a + b, env)
+    p = scalar_eval(a * b, env)
+    ea, eb = scalar_eval(a, env), scalar_eval(b, env)
     assert math.isclose(abs(s - (ea + eb)), 0.0, abs_tol=1e-9 * (1 + abs(s)))
     assert math.isclose(abs(p - ea * eb), 0.0, abs_tol=1e-9 * (1 + abs(p)))
 
@@ -140,3 +151,85 @@ def test_equality_is_congruence(a, b, c):
         assert a * c == b * c
     assert a == a
     assert a + c - c == a
+
+
+# -- the field against sympy -------------------------------------------------
+
+_NAMES = ("alpha", "beta", "gamma", "hbar")
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv}
+
+_leaves = st.one_of(
+    st.sampled_from(_NAMES).map(lambda n: (ScalarExpr.param(n), symbol(n))),
+    st.just((I, sympy.I)),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).map(
+        lambda f: (ScalarExpr(f), sympy.Rational(f.numerator, f.denominator))))
+
+
+def _apply(pair):
+    """One + - * / or integer power, built on both sides; a division by
+    zero or a negative power of zero keeps the left operand."""
+    (a, ea), op, (b, eb), n = pair
+    if op == "^":
+        return (a, ea) if n < 0 and a.is_zero else (a ** n, ea ** n)
+    if op == "/" and b.is_zero:
+        return a, ea
+    return _OPS[op](a, b), _OPS[op](ea, eb)
+
+
+def _combine(children):
+    return st.tuples(children, st.sampled_from("+-*/^"), children,
+                     st.integers(-2, 3)).map(_apply)
+
+
+# rational expressions, each with the sympy expression built from the
+# same draw; plain recursion rarely divides by a sum, so half the draws
+# are a / (b + c)
+_terms = st.recursive(_leaves, _combine, max_leaves=5)
+_expressions = st.one_of(_terms, st.tuples(_terms, _terms, _terms).map(
+    lambda t: _apply((t[0], "/", _apply((t[1], "+", t[2], 0)), 0))))
+
+
+def _same(a, b) -> bool:
+    return sympy.cancel(a - b) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expressions, _expressions, st.sampled_from("+-*/"))
+def test_field_agrees_with_sympy(a, b, op):
+    (a, ea), (b, eb) = a, b
+    assert _same(to_sympy(a), ea) and _same(to_sympy(b), eb)
+    assert a.is_zero == _same(ea, 0)
+    if not (op == "/" and b.is_zero):
+        assert _same(to_sympy(_OPS[op](a, b)),
+                     _OPS[op](to_sympy(a), to_sympy(b)))
+    assert (a == b) == _same(ea, eb)
+    assert _same(to_sympy(a.conj()), sympy.conjugate(ea))
+    # equal values reached by different routes compare equal
+    assert (a + b) - b == a
+    if not b.is_zero:
+        assert (a * b) / b == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_expressions)
+def test_printed_coefficients_parse_back(a):
+    a = a[0]
+    assert parse_operator(str(a)).scalar_value() == a
+    word = OperatorExpr.from_factors(x_power(1), p_power(1), coeff=a)
+    nf = normal_order(word, Convention.COORDINATE)
+    printed = print_operator(nf.as_operator_expr())
+    assert normal_order(parse_operator(printed), Convention.COORDINATE) == nf
+
+
+def test_coefficient_printing():
+    """Terms in graded-lex order: highest total degree first, parameters
+    in name order, the real part of a term before its i part; every
+    printed form parses."""
+    hb, al = HBAR, ScalarExpr.param("alpha")
+    assert str(-I * hb + I * al * hb) == "(i * alpha * hbar - i * hbar)"
+    assert str((al + hb) ** 2) == "(alpha^2 + 2 * alpha * hbar + hbar^2)"
+    assert str((ONE + I) * al + 3) == "(alpha + i * alpha + 3)"
+    assert str(ONE / (2 * al + 2)) == "(2 * alpha + 2)^-1"
+    assert str(al ** -2) == "alpha^-2"
+    assert str(3 / (2 * al * hb ** 2)) == "3 * (2 * alpha * hbar^2)^-1"

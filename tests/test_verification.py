@@ -84,6 +84,8 @@ def test_sin_phase_degenerate_limits():
         value, _ = sin_phase_integral(*args, SPEC)
         assert abs(value - math.pi) <= 1e-5
     assert sin_phase_integral(0.0, 0.0, SPEC) == (0.0, 0.0)
+    with pytest.raises(ValueError, match=r"got a=-1\.0, b=1\.0"):
+        sin_phase_integral(-1.0, 1.0, SPEC)
 
 
 def test_quadrature_failure_reports_partial_value():
@@ -167,6 +169,8 @@ def test_coordinate_singular_grid_rejected():
     psi = CoordinateEigenfunction(1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="domain error"):
         coordinate_ode_residual(psi, 0.0625, 1.0, 1.0, (0.0, 1.0))
+    with pytest.raises(ValueError, match=r"got x=-2\.0"):
+        coordinate_ode_residual(psi, 0.0625, 1.0, 1.0, (1.0, -2.0))
 
 
 def test_determine_bessel_order():
