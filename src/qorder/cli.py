@@ -40,6 +40,11 @@ def _float_text(v: float) -> str:
     return repr(float(v))
 
 
+def _json_float(v: float):
+    """v, or None (JSON null) where v is not finite: NaN is not JSON."""
+    return v if math.isfinite(v) else None
+
+
 class _UsageError(ValueError):
     """A command-line value out of its documented range (exit 2)."""
 
@@ -266,9 +271,11 @@ def _cmd_solve(args) -> int:
     def render(stream):
         if args.format == "json":
             stream.write(json.dumps([{
-                "x": x, "psi_re": v.real, "psi_im": v.imag, "j0": j0,
-                "ratio_re": r.real, "ratio_im": r.imag, "failed": failed,
-            } for x, v, j0, r, failed in rows]) + "\n")
+                "x": x, "psi_re": _json_float(v.real),
+                "psi_im": _json_float(v.imag), "j0": _json_float(j0),
+                "ratio_re": _json_float(r.real),
+                "ratio_im": _json_float(r.imag), "failed": failed,
+            } for x, v, j0, r, failed in rows], allow_nan=False) + "\n")
         else:
             stream.write("x,psi_re,psi_im,j0,ratio_re,ratio_im,failed\n")
             for x, v, j0, r, failed in rows:

@@ -7,9 +7,8 @@ them and maps i to -i.
 
 A polynomial is a dict from monomials to Gaussian rationals.  A
 monomial is a tuple of ``(name, exponent)`` pairs sorted by name with no
-zero exponent; a Gaussian rational is a ``(re, im)`` pair of rationals,
-each an int where it can be (int arithmetic is many times faster than
-Fraction arithmetic).  Zero coefficients are never stored.  A scalar is
+zero exponent; a Gaussian rational is a ``(re, im)`` pair of ints or
+Fractions.  Zero coefficients are never stored.  A scalar is
 a numerator polynomial, whose exponents may be negative (a Laurent
 polynomial), over a denominator that is either 1 or a polynomial that
 
@@ -72,27 +71,16 @@ def _param_name(p) -> str:
 # Gaussian rationals, monomials and polynomials
 # ---------------------------------------------------------------------------
 
-def _rational(value):
-    """value as an int when it is whole."""
-    return value.numerator if value.denominator == 1 else value
-
-
 def _gmul(a, b):
     ar, ai = a
     br, bi = b
-    if not ai:
-        return (ar * br, ar * bi) if bi else (ar * br, 0)
-    if not bi:
-        return (ar * br, ai * br) if ar else (0, ai * br)
     return (ar * br - ai * bi, ar * bi + ai * br)
 
 
 def _ginv(a):
     ar, ai = a
-    if not ai:
-        return (_rational(Fraction(1, ar)), 0)
     norm = ar * ar + ai * ai
-    return (_rational(Fraction(ar, norm)), _rational(Fraction(-ai, norm)))
+    return (Fraction(ar, norm), Fraction(-ai, norm))
 
 
 def _mono_mul(a, b):
@@ -314,7 +302,7 @@ class ScalarExpr:
         elif isinstance(value, bool):
             raise ScalarError("bool is not a scalar")
         elif isinstance(value, (int, Fraction)):
-            num, den = ({(): (_rational(value), 0)} if value else {}), None
+            num, den = ({(): (value, 0)} if value else {}), None
         elif isinstance(value, ParamSymbol):
             num, den = {((value.name, 1),): _UNIT}, None
         else:
@@ -434,6 +422,8 @@ class ScalarExpr:
     def __pow__(self, n: int):
         if not isinstance(n, int) or isinstance(n, bool):
             raise ScalarError("scalar powers must be integers")
+        if n == 0:
+            return ONE
         base = self._inverse() if n < 0 else self
         # powers of a canonical fraction stay canonical
         num, den = _ONE_POLY, None if base._den is None else _ONE_POLY

@@ -168,7 +168,8 @@ def test_solve_partial_results_on_failure():
 
 def test_solve_flags_out_of_domain_bessel_row():
     """At x = 4e7 the Bessel argument 2 sqrt(E x) / hbar is above 1e4: that
-    row is flagged and the rows before it are unchanged."""
+    row is flagged and the rows before it are unchanged.  NaN is not JSON,
+    so with --format json the flagged values are null."""
     proc = run_cli("solve", "--E", "1", "--x-grid=0:4e7:3")
     assert proc.returncode == 4, proc.stderr
     lines = proc.stdout.strip().split("\n")
@@ -179,6 +180,19 @@ def test_solve_flags_out_of_domain_bessel_row():
     x, psi_re, psi_im, j0, ratio_re, ratio_im, failed = lines[3].split(",")
     assert float(x) == 4e7 and math.isfinite(float(psi_im))
     assert (j0, ratio_re, ratio_im, failed) == ("nan", "nan", "nan", "true")
+
+    proc = run_cli("solve", "--E", "1", "--x-grid=0:4e7:3", "--format", "json")
+    assert proc.returncode == 4, proc.stderr
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    rows = json.loads(proc.stdout, parse_constant=refuse)
+    assert [row["failed"] for row in rows] == [False, False, True]
+    assert [rows[2][k] for k in ("j0", "ratio_re", "ratio_im")] == [None] * 3
+    shorter = run_cli("solve", "--E", "1", "--x-grid=0:2e7:2",
+                      "--format", "json")
+    assert json.loads(shorter.stdout) == rows[:2]
 
 
 def test_solve_out_file(tmp_path):

@@ -47,6 +47,12 @@ def test_function_factors():
     assert factors[2].deriv == 2
 
 
+def test_zeroth_power_of_compound_scalar():
+    assert _coord_nf("((1+alpha)^-1)^0 * x") == _coord_nf("x")
+    nf = _coord_nf("x + ((1+alpha)^-1)^0")
+    assert print_operator(nf.as_operator_expr()) == "x + 1"
+
+
 def test_compound_power_expands():
     assert _coord_nf("(x * p)^2") == _coord_nf("x * p * x * p")
     assert _coord_nf("(x + p)^2") == _coord_nf("x^2 + x * p + p * x + p^2")

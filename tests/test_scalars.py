@@ -233,3 +233,17 @@ def test_coefficient_printing():
     assert str(ONE / (2 * al + 2)) == "(2 * alpha + 2)^-1"
     assert str(al ** -2) == "alpha^-2"
     assert str(3 / (2 * al * hb ** 2)) == "3 * (2 * alpha * hbar^2)^-1"
+    assert str(((al + 1) ** -1) ** 0) == "1"
+
+
+def test_zeroth_power_is_one():
+    """x^0 is the canonical 1, also for a fraction with a compound
+    denominator."""
+    al, hb = ScalarExpr.param("alpha"), HBAR
+    for base in (ONE / (al + 1), (al + hb) ** -2, al ** -3, I, ZERO):
+        assert base ** 0 == 1
+        assert (base ** 0).is_one
+        assert not (base ** 0).free_params()
+    a, b = ONE / (al + 1), hb / (al - 2)
+    assert (a + b) - b == a
+    assert (a ** 0 + b) - b == 1
