@@ -72,10 +72,10 @@ def bessel_j_derivatives(nu: float, z: float) -> tuple[float, float, float]:
     + J_{nu+2}) / 4, so the second derivative is independent of the
     Bessel ODE and the ODE residual is a genuine consistency check.
     """
-    if nu < 0.0:
-        raise BesselDomainError(
-            f"domain error: bessel_j_derivatives needs nu >= 0, got nu={nu!r}")
-    if z < 0.0 or z > _Z_MAX:
+    if not (math.isfinite(nu) and nu >= 0.0):
+        raise BesselDomainError("domain error: bessel_j_derivatives needs "
+                                f"finite nu >= 0, got nu={nu!r}")
+    if not 0.0 <= z <= _Z_MAX:
         raise BesselDomainError(
             "domain error: bessel_j_derivatives needs 0 <= z <= 1e4, "
             f"got z={z!r}")

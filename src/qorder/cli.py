@@ -12,17 +12,14 @@ import math
 import sys
 from fractions import Fraction
 
+from . import identities
 from .bessel import BesselDomainError, bessel_j
-from .exponents import ExponentExpr
-from .operators import OperatorExpr
-from .ordering import (Convention, OrderingError, build_two_sided,
-                       detect_ambiguity, hermitize, normal_order, prove_equal)
+from .ordering import Convention, OrderingError, normal_order
 from .parser import ParseError, parse_operator, print_operator
 from .quadrature import QuadratureError, QuadratureSpec
 from .scalars import ScalarError
 from .verification import (MomentumEigenfunction, determine_bessel_order,
-                           fourier_reconstruct_detailed,
-                           verify_integral_identity)
+                           fourier_reconstruct_detailed, order_residual)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,117 +90,20 @@ def _cmd_normal_order(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _alpha():
-    return ExponentExpr.param("alpha")
-
-
-def _verify_eq3():
-    """Hermitized f^a p f^(1-a) is f p - (i hbar / 2) f' for every carrier."""
-    cases = [
-        ("x", "x^alpha * p * x^(1-alpha)",
-         "x * p - 1/2 * i * hbar"),
-        ("x^2", "x^(2*alpha) * p * x^(2-2*alpha)",
-         "x^2 * p - i * hbar * x"),
-        ("sqrt(x)", "x^(alpha/2) * p * x^((1-alpha)/2)",
-         "x^(1/2) * p - 1/4 * i * hbar * x^(-1/2)"),
-        ("f", "f(x)^alpha * p * f(x)^(1-alpha)",
-         "f(x) * p - 1/2 * i * hbar * f'(x)"),
-    ]
-    for label, text, expected in cases:
-        nf = normal_order(hermitize(parse_operator(text)),
-                          Convention.COORDINATE)
-        ok = nf == normal_order(parse_operator(expected),
-                                Convention.COORDINATE)
-        free = detect_ambiguity(nf, ["alpha"])
-        yield (f"eq3[{label}]", ok and not free.ambiguous,
-               print_operator(nf.as_operator_expr()))
-
-
-def _verify_eq4():
-    nf = normal_order(hermitize(parse_operator(
-        "p^(2*alpha) * x * p^(2-2*alpha)")), Convention.MOMENTUM)
-    expected = normal_order(parse_operator("p^2 * x + i * hbar * p"),
-                            Convention.MOMENTUM)
-    ambiguous = detect_ambiguity(nf, ["alpha"]).ambiguous
-    yield ("eq4", nf == expected and not ambiguous,
-           print_operator(nf.as_operator_expr()))
-
-
-def _verify_eq11(spec):
-    for a in (0.5, 1.0, 2.0):
-        for b in (0.5, 1.0, 2.0):
-            report = verify_integral_identity(a, b, spec)
-            yield (f"eq11[a={a},b={b}]", report.passed,
-                   f"max residual {report.max_residual:.3e}")
-
-
-def _verify_eq14():
-    alpha, gamma = _alpha(), ExponentExpr.param("gamma")
-    beta = ExponentExpr.number(1) - alpha - gamma
-    nf = normal_order(build_two_sided(alpha, beta, gamma),
-                      Convention.COORDINATE)
-    expected = normal_order(parse_operator(
-        "x * p^2 - i * hbar * p + alpha * gamma * hbar^2 * x^-1"),
-        Convention.COORDINATE)
-    report = detect_ambiguity(nf, ["alpha", "gamma"])
-    surviving = [print_operator(OperatorExpr([w]))
-                 for w in report.surviving_terms]
-    ok = (nf == expected and report.ambiguous
-          and surviving == ["alpha * gamma * hbar^2 * x^-1"])
-    yield ("eq14", ok, print_operator(nf.as_operator_expr()))
-    gamma_zero = normal_order(
-        build_two_sided(alpha, ExponentExpr.number(1) - alpha, 0),
-        Convention.COORDINATE)
-    yield ("eq14[gamma=0]",
-           not detect_ambiguity(gamma_zero, ["alpha"]).ambiguous,
-           print_operator(gamma_zero.as_operator_expr()))
-
-
-def _verify_eq18():
-    pairs = [
-        ("eq18a", "x^alpha * p * x^(1-alpha) * p",
-         "x^(1/2) * p * x^(1/2) * p + i * hbar * (alpha - 1/2) * p"),
-        ("eq18b", "p * x^(1-alpha) * p * x^alpha",
-         "p * x^(1/2) * p * x^(1/2) - i * hbar * (alpha - 1/2) * p"),
-    ]
-    for name, lhs, rhs in pairs:
-        ok = prove_equal(parse_operator(lhs), parse_operator(rhs),
-                         Convention.COORDINATE)
-        yield (name, ok, "symbolic proof")
-
-
-def _verify_eq19():
-    o_alpha = parse_operator(
-        "1/2 * (x^alpha * p * x^(1-alpha) * p + p * x^(1-alpha) * p * x^alpha)")
-    o_weyl = parse_operator(
-        "1/2 * (x^(1/2) * p * x^(1/2) * p + p * x^(1/2) * p * x^(1/2))")
-    ok = prove_equal(o_alpha, o_weyl, Convention.COORDINATE)
-    yield ("eq19", ok, "symbolic proof, alpha fully symbolic")
-
-
-_IDENTITY_SUITES = {
-    "eq3": lambda spec: _verify_eq3(),
-    "eq4": lambda spec: _verify_eq4(),
-    "eq11": _verify_eq11,
-    "eq14": lambda spec: _verify_eq14(),
-    "eq18": lambda spec: _verify_eq18(),
-    "eq19": lambda spec: _verify_eq19(),
-}
-
-
 def _cmd_verify(args) -> int:
-    if args.identity != "all" and args.identity not in _IDENTITY_SUITES:
+    rows = [row for row in identities.IDENTITIES
+            if args.identity in ("all", identities.suite(row))]
+    if not rows:
         print(f"unknown identity {args.identity!r}", file=sys.stderr)
         return EXIT_USAGE
-    names = (list(_IDENTITY_SUITES) if args.identity == "all"
-             else [args.identity])
     spec = QuadratureSpec.from_env()
     results = []
-    for name in names:
+    for row in rows:
         try:
-            results.extend(_IDENTITY_SUITES[name](spec))
+            results.append((row.id, *identities.check(row, spec)))
         except QuadratureError as err:
-            print(f"quadrature error in {name}: {err}", file=sys.stderr)
+            print(f"quadrature error in {identities.suite(row)}: {err}",
+                  file=sys.stderr)
             return EXIT_NUMERIC
     all_pass = all(ok for _, ok, _ in results)
     if args.format == "json":
@@ -305,18 +205,12 @@ def _cmd_order_scan(args) -> int:
     if any(v < 0 or v > 1 for v in values):
         print("alpha*gamma values must lie in [0, 1]", file=sys.stderr)
         return EXIT_USAGE
-    from .verification import CoordinateEigenfunction, \
-        coordinate_ode_residual, _ORDER_SCAN_GRID
     rows = []
     for ag in values:
         fitted = determine_bessel_order(ag, args.E, args.hbar)
         sqrt_index = 2.0 * math.sqrt(ag)
-        res_fitted = coordinate_ode_residual(
-            CoordinateEigenfunction(args.E, args.hbar, fitted), ag,
-            args.E, args.hbar, _ORDER_SCAN_GRID).max_residual
-        res_coupling = coordinate_ode_residual(
-            CoordinateEigenfunction(args.E, args.hbar, ag), ag,
-            args.E, args.hbar, _ORDER_SCAN_GRID).max_residual
+        res_fitted = order_residual(fitted, ag, args.E, args.hbar)
+        res_coupling = order_residual(ag, ag, args.E, args.hbar)
         rows.append((ag, fitted, sqrt_index, ag, res_fitted, res_coupling))
     if args.format == "json":
         _emit_json([{

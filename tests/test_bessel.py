@@ -142,3 +142,12 @@ def test_domain_errors():
         bessel_j_derivatives(0.5, 0.0)
     with pytest.raises(BesselDomainError, match="domain error"):
         bessel_first_zero(2.5)
+
+
+def test_derivatives_reject_nonfinite_arguments():
+    """NaN fails every comparison, so the checks must not be written as
+    comparisons that NaN slips past (it would run all series terms)."""
+    for nu, z, shown in ((math.nan, 1.0, "nu=nan"), (0.0, math.nan, "z=nan"),
+                         (0.0, math.inf, "z=inf")):
+        with pytest.raises(BesselDomainError, match=f"domain error: .*{shown}"):
+            bessel_j_derivatives(nu, z)

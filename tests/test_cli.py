@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+from qorder.identities import IDENTITIES
+
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -81,6 +83,7 @@ def test_verify_all_json():
     assert isinstance(data, list)
     assert all(set(entry) == {"id", "pass", "detail"} for entry in data)
     assert all(entry["pass"] for entry in data)
+    assert [entry["id"] for entry in data] == [row.id for row in IDENTITIES]
 
 
 def test_verify_unknown_identity():

@@ -6,17 +6,19 @@ import pytest
 import sympy
 
 from qorder.exponents import ExponentExpr
+from qorder.identities import IDENTITIES
 from qorder.operators import OperatorExpr, func_power, p_power, x_power
 from qorder.ordering import (Convention, OrderingError, build_two_sided,
-                             detect_ambiguity, hermitian_conjugate, hermitize,
-                             momentum_rep_ode, normal_order, prove_equal)
+                             hermitian_conjugate, hermitize,
+                             momentum_rep_ode, normal_order)
 from qorder.parser import parse_operator, print_operator
 from qorder.scalars import ScalarExpr
 
-from oracles import X, apply_operator, oracle_equal, scalar_diff
+from oracles import X, oracle_equal, scalar_diff
 
 ALPHA = ExponentExpr.param("alpha")
 GAMMA = ExponentExpr.param("gamma")
+ROWS = {row.id: row for row in IDENTITIES}
 
 
 def coord(text):
@@ -31,7 +33,8 @@ def mom(text):
 
 def test_single_momentum_swap():
     assert coord("p * x") == coord("x * p - i * hbar")
-    assert coord("x^alpha * p * x^(1-alpha)") == coord(
+    # the eq3[x] word before hermitization
+    assert coord(ROWS["eq3[x]"].text) == coord(
         "x * p - i * hbar * (1 - alpha)")
 
 
@@ -42,35 +45,12 @@ def test_symbolic_carrier_powers():
         "f(x)^alpha * p - alpha * i * hbar * f(x)^(alpha - 1) * f'(x)")
 
 
-def test_hermitized_one_parameter_family():
-    cases = [
-        ("x^alpha * p * x^(1-alpha)", "x * p - 1/2 * i * hbar"),
-        ("x^(2*alpha) * p * x^(2-2*alpha)", "x^2 * p - i * hbar * x"),
-        ("x^(alpha/2) * p * x^((1-alpha)/2)",
-         "x^(1/2) * p - 1/4 * i * hbar * x^(-1/2)"),
-        ("f(x)^alpha * p * f(x)^(1-alpha)",
-         "f(x) * p - 1/2 * i * hbar * f'(x)"),
-    ]
-    for text, expected in cases:
-        nf = normal_order(hermitize(parse_operator(text)),
-                          Convention.COORDINATE)
-        assert nf == coord(expected)
-        assert not detect_ambiguity(nf, ["alpha"]).ambiguous
-
-
 def test_alpha_independence_is_exact():
     """d/d(alpha) of every hermitized coefficient is identically zero."""
-    nf = normal_order(hermitize(parse_operator(
-        "f(x)^alpha * p * f(x)^(1-alpha)")), Convention.COORDINATE)
+    nf = normal_order(hermitize(parse_operator(ROWS["eq3[f]"].text)),
+                      Convention.COORDINATE)
     for word in nf.words:
         assert scalar_diff(word.coefficient, "alpha").is_zero
-
-
-def test_momentum_dual():
-    nf = normal_order(hermitize(parse_operator(
-        "p^(2*alpha) * x * p^(2-2*alpha)")), Convention.MOMENTUM)
-    assert nf == mom("p^2 * x + i * hbar * p")
-    assert not detect_ambiguity(nf, ["alpha"]).ambiguous
 
 
 def test_momentum_swap_sign():
@@ -86,7 +66,7 @@ def test_conjugation_involution():
 
 
 def test_hermitize_fixed_point():
-    h = hermitize(parse_operator("x^alpha * p * x^(1-alpha)"))
+    h = hermitize(parse_operator(ROWS["eq3[x]"].text))
     again = hermitize(h)
     assert normal_order(again, Convention.COORDINATE) == normal_order(
         h, Convention.COORDINATE)
@@ -94,23 +74,12 @@ def test_hermitize_fixed_point():
 
 # -- two-sided family ---------------------------------------------------------
 
-def test_two_sided_normal_form():
-    beta = ExponentExpr.number(1) - ALPHA - GAMMA
-    nf = normal_order(build_two_sided(ALPHA, beta, GAMMA),
-                      Convention.COORDINATE)
-    assert nf == coord("x * p^2 - i * hbar * p + alpha * gamma * hbar^2 * x^-1")
-    report = detect_ambiguity(nf, ["alpha", "gamma"])
-    assert report.ambiguous
-    surviving = [print_operator(OperatorExpr([w]))
-                 for w in report.surviving_terms]
-    assert surviving == ["alpha * gamma * hbar^2 * x^-1"]
-
-
 def test_two_sided_word_structure():
     """Exactly three words with coefficients 1, -i hbar, alpha gamma hbar^2."""
     beta = ExponentExpr.number(1) - ALPHA - GAMMA
     nf = normal_order(build_two_sided(ALPHA, beta, GAMMA),
                       Convention.COORDINATE)
+    assert nf == coord(ROWS["eq14"].expected)
     assert len(nf.words) == 3
     coeffs = [w.coefficient for w in nf.words]
     hb = ScalarExpr.hbar()
@@ -120,51 +89,9 @@ def test_two_sided_word_structure():
                          * hb * hb)
 
 
-def test_two_sided_gamma_zero_unambiguous():
-    nf = normal_order(
-        build_two_sided(ALPHA, ExponentExpr.number(1) - ALPHA, 0),
-        Convention.COORDINATE)
-    assert not detect_ambiguity(nf, ["alpha"]).ambiguous
-    assert nf == coord("x * p^2 - i * hbar * p")
-
-
 def test_two_sided_constraint():
     with pytest.raises(OrderingError, match="alpha\\+beta\\+gamma=1"):
         build_two_sided(ALPHA, ALPHA, ALPHA)
-
-
-def test_two_sided_monomial_oracle():
-    """Cross-check the two-sided normal form on x^m, m = 0..4."""
-    beta = ExponentExpr.number(1) - ALPHA - GAMMA
-    lhs = build_two_sided(ALPHA, beta, GAMMA)
-    rhs = parse_operator(
-        "x * p^2 - i * hbar * p + alpha * gamma * hbar^2 * x^-1")
-    for m in range(5):
-        assert oracle_equal(lhs, rhs, X ** m)
-
-
-# -- representation-compatible family ----------------------------------------
-
-def test_quadratic_family_both_lines():
-    assert prove_equal(
-        parse_operator("x^alpha * p * x^(1-alpha) * p"),
-        parse_operator(
-            "x^(1/2) * p * x^(1/2) * p + i * hbar * (alpha - 1/2) * p"),
-        Convention.COORDINATE)
-    assert prove_equal(
-        parse_operator("p * x^(1-alpha) * p * x^alpha"),
-        parse_operator(
-            "p * x^(1/2) * p * x^(1/2) - i * hbar * (alpha - 1/2) * p"),
-        Convention.COORDINATE)
-
-
-def test_quadratic_family_collapses_to_weyl():
-    o_alpha = parse_operator(
-        "1/2 * (x^alpha * p * x^(1-alpha) * p"
-        " + p * x^(1-alpha) * p * x^alpha)")
-    o_weyl = parse_operator(
-        "1/2 * (x^(1/2) * p * x^(1/2) * p + p * x^(1/2) * p * x^(1/2))")
-    assert prove_equal(o_alpha, o_weyl, Convention.COORDINATE)
 
 
 # -- error paths --------------------------------------------------------------

@@ -5,16 +5,17 @@ import math
 
 import pytest
 
+from qorder import verification
 from qorder._kernels import osc_tail
 from qorder.bessel import bessel_first_zero, bessel_j
 from qorder.quadrature import QuadratureError, QuadratureSpec, \
     sin_cos_integral, sin_phase_integral
-from qorder.verification import (CoordinateEigenfunction,
+from qorder.verification import (ORDER_SCAN_GRID, CoordinateEigenfunction,
                                  MomentumEigenfunction, ResidualReport,
                                  coordinate_ode_residual,
                                  determine_bessel_order, fourier_reconstruct,
                                  fourier_reconstruct_detailed,
-                                 momentum_ode_residual,
+                                 momentum_ode_residual, order_residual,
                                  reconstruction_first_zero,
                                  verify_integral_identity)
 
@@ -42,6 +43,13 @@ def test_momentum_ode_scaling_invariance():
     """The eigenfunction family is closed under overall rescaling."""
     psi = MomentumEigenfunction(E=1.0, hbar=1.0, N=3.5j)
     assert momentum_ode_residual(psi, GRID).max_residual <= 1e-12
+
+
+def test_momentum_eigenfunction_rejects_nonfinite_parameters():
+    with pytest.raises(ValueError, match=r"domain error: .*hbar=nan"):
+        MomentumEigenfunction(1.0, math.nan)
+    with pytest.raises(ValueError, match=r"domain error: .*E=inf"):
+        MomentumEigenfunction(math.inf, 1.0)
 
 
 def test_momentum_singular_grid_rejected():
@@ -86,6 +94,23 @@ def test_sin_phase_degenerate_limits():
     assert sin_phase_integral(0.0, 0.0, SPEC) == (0.0, 0.0)
     with pytest.raises(ValueError, match=r"got a=-1\.0, b=1\.0"):
         sin_phase_integral(-1.0, 1.0, SPEC)
+
+
+def test_sin_phase_rejects_nonfinite_arguments():
+    with pytest.raises(ValueError, match=r"domain error: .*a=nan, b=1\.0"):
+        sin_phase_integral(math.nan, 1.0, SPEC)
+    with pytest.raises(ValueError, match=r"domain error: .*a=1\.0, b=inf"):
+        sin_phase_integral(1.0, math.inf, SPEC)
+
+
+def test_sin_cos_rejects_nonfinite_arguments():
+    for sin_fast in (True, False):
+        with pytest.raises(ValueError,
+                           match=r"domain error: .*a=inf, b=1\.0"):
+            sin_cos_integral(math.inf, 1.0, SPEC, sin_fast=sin_fast)
+        with pytest.raises(ValueError,
+                           match=r"domain error: .*a=1\.0, b=nan"):
+            sin_cos_integral(1.0, math.nan, SPEC, sin_fast=sin_fast)
 
 
 def test_quadrature_failure_reports_partial_value():
@@ -137,6 +162,14 @@ def test_reconstruction_scales_with_normalization():
     assert fourier_reconstruct(psi0, 1.0, SPEC) == 0j
 
 
+def test_reconstruction_rejects_nonfinite_x():
+    psi = MomentumEigenfunction(E=1.0, hbar=1.0)
+    for x in (math.nan, -math.inf):
+        with pytest.raises(ValueError,
+                           match=rf"domain error: .*x={x!r}"):
+            fourier_reconstruct_detailed(psi, x, SPEC)
+
+
 def test_reconstruction_negative_axis_vanishes():
     """For x < 0 the two mixed-product integrals cancel exactly."""
     psi = MomentumEigenfunction(E=1.0, hbar=1.0)
@@ -148,21 +181,28 @@ def test_reconstruction_negative_axis_vanishes():
 # -- coordinate representation -------------------------------------------------
 
 def test_coordinate_ode_residual_known_orders():
-    grid = tuple(0.2 + 0.25 * k for k in range(12))
     for ag, nu in ((0.0, 0.0), (1.0 / 16.0, 0.5), (0.25, 1.0)):
         psi = CoordinateEigenfunction(1.0, 1.0, nu)
-        report = coordinate_ode_residual(psi, ag, 1.0, 1.0, grid)
+        report = coordinate_ode_residual(psi, ag, 1.0, 1.0, ORDER_SCAN_GRID)
         assert report.max_residual <= 1e-8, (ag, nu, report.max_residual)
 
 
 def test_coordinate_ode_printed_index_fails():
     """Using the coupling alpha*gamma itself as the order does not solve
     the equation away from the degenerate point."""
-    grid = tuple(0.2 + 0.25 * k for k in range(12))
     ag = 1.0 / 16.0
     psi = CoordinateEigenfunction(1.0, 1.0, ag)
-    report = coordinate_ode_residual(psi, ag, 1.0, 1.0, grid)
+    report = coordinate_ode_residual(psi, ag, 1.0, 1.0, ORDER_SCAN_GRID)
     assert report.max_residual > 1e-2
+
+
+def test_coordinate_eigenfunction_rejects_bad_parameters():
+    for args, shown in (((math.nan, 1.0), r"E=nan, hbar=1\.0"),
+                        ((-1.0, 1.0), r"E=-1\.0, hbar=1\.0"),
+                        ((1.0, math.inf), r"E=1\.0, hbar=inf"),
+                        ((1.0, 1.0, math.nan), "nu=nan")):
+        with pytest.raises(ValueError, match="domain error: .*" + shown):
+            CoordinateEigenfunction(*args)
 
 
 def test_coordinate_singular_grid_rejected():
@@ -174,11 +214,31 @@ def test_coordinate_singular_grid_rejected():
 
 
 def test_determine_bessel_order():
-    for ag in (0.0, 1.0 / 16.0, 0.25):
+    """The fit finds 2 sqrt(alpha gamma) over the whole coupling range,
+    including small couplings, where the residual is not unimodal."""
+    assert order_residual(0.012, 0.01, 1.0, 1.0) > \
+        order_residual(0.0, 0.01, 1.0, 1.0)
+    for ag in (0.0, 1e-12, 1e-8, 1e-4, 0.01, 0.05, 0.1, 1.0 / 16.0, 0.25,
+               0.5, 0.9, 1.0):
         nu = determine_bessel_order(ag)
-        assert abs(nu - 2.0 * math.sqrt(ag)) <= 1e-6
+        assert abs(nu - 2.0 * math.sqrt(ag)) <= 1e-6, ag
     with pytest.raises(ValueError, match="domain error"):
         determine_bessel_order(1.5)
+
+
+def test_order_fit_residual_budget(monkeypatch):
+    """One fit makes at most 60 residual evaluations: a golden section on
+    [0, 2] to 1e-9 needs 47, a scan of the interval would need hundreds."""
+    calls = []
+    residual = verification.coordinate_ode_residual
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "coordinate_ode_residual", counting)
+    assert abs(determine_bessel_order(0.25) - 1.0) <= 1e-6
+    assert 0 < len(calls) <= 60
 
 
 def test_order_fit_insensitive_to_scales():
