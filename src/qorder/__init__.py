@@ -11,7 +11,7 @@ from .parser import ParseError, SourceSpan, parse_operator, print_operator
 from .ordering import (AmbiguityReport, Convention, NormalForm,
                        ODEDescriptor, OrderingError, build_two_sided,
                        detect_ambiguity, hermitian_conjugate, hermitize,
-                       momentum_rep_ode, normal_order, prove_equal)
+                       momentum_rep_ode, normal_order)
 from .bessel import (BesselDomainError, BesselEval, bessel_first_zero,
                      bessel_j, bessel_j_derivatives)
 from .quadrature import (QuadratureError, QuadratureSpec, sin_cos_integral,
@@ -34,7 +34,6 @@ __all__ = [
     "AmbiguityReport", "Convention", "NormalForm", "ODEDescriptor",
     "OrderingError", "build_two_sided", "detect_ambiguity",
     "hermitian_conjugate", "hermitize", "momentum_rep_ode", "normal_order",
-    "prove_equal",
     "BesselDomainError", "BesselEval", "bessel_first_zero", "bessel_j",
     "bessel_j_derivatives",
     "QuadratureError", "QuadratureSpec", "sin_cos_integral",

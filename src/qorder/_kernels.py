@@ -8,18 +8,21 @@ The Bessel power series is accumulated in double-double arithmetic
 error bound stays below 1e-10 through the series/asymptotic switch at
 z = 30 despite the alternating-term cancellation.
 
-``osc_tail`` integrates an oscillatory tail lobe by lobe between the
-zeros of its fast factor, each lobe with one 24-point Gauss-Legendre
-panel, and accelerates the alternating lobe sums with an
-iterated-averaging Euler transform: the lobe-wise summation with
-extrapolation of QUADPACK's QAWF (Piessens et al. 1983), with the
-averaging of Sidi, *Practical Extrapolation Methods* (2003).  A block of
-lobes is one (nodes x lobes) array: one ``np.sin``/``np.cos`` call for
-the integrand, a reduction over the node axis, ``np.cumsum`` for the
-partial sums and the averaging applied to the whole partial-sum array.
-Every sum keeps the left-to-right order of a lobe-at-a-time loop, so
-the results do not depend on the block sizes.  ``osc_tail`` returns
-Python ``float``/``int``.
+``osc_tail`` integrates sin(z cosh t) or sin(z sinh t) over t >= 0, the
+Mehler-Sonine form of every oscillatory integral in
+:mod:`qorder.quadrature`.  The head [0, first zero] is smooth and is
+summed on two panel counts, whose difference is its error.  Beyond it
+the integral runs lobe by lobe between the closed-form zeros of the
+phase, each lobe with one 24-point Gauss-Legendre panel, and the
+alternating lobe sums are accelerated with an iterated-averaging Euler
+transform: the lobe-wise summation with extrapolation of QUADPACK's QAWF
+(Piessens et al. 1983), with the averaging of Sidi, *Practical
+Extrapolation Methods* (2003).  A block of lobes is one (nodes x lobes)
+array: a few numpy calls for the integrand, a reduction over the node
+axis, ``np.cumsum`` for the partial sums and the averaging applied to
+the whole partial-sum array.  Every sum keeps the left-to-right order of
+a lobe-at-a-time loop, so the results do not depend on the block sizes.
+``osc_tail`` returns Python ``float``/``int``.
 """
 
 from __future__ import annotations
@@ -187,82 +190,60 @@ def _j_asymptotic(nu, z):
     return value, bound
 
 
-
-
 # ---------------------------------------------------------------------------
-# oscillatory tail integrals
+# Mehler-Sonine half-line integrals
 # ---------------------------------------------------------------------------
-# mode 0: sin(t + q/t) / t          lobes between zeros of sin(t + q/t)
-# mode 1: sin(a t) cos(q / t) / t   lobes between zeros of sin(a t)
-# mode 2: cos(a t) sin(q / t) / t   lobes between zeros of cos(a t)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _NODE_COLUMN = _GL_NODES[:, None]
 _WEIGHT_COLUMN = _GL_WEIGHTS[:, None]
 
-_FIRST_BLOCK = 32      # tail lobes in the first block
+_FIRST_BLOCK = 32      # lobes in the first block
 _MAX_BLOCK = 1024      # lobes in any block
 _EULER_WINDOW = 40     # partial sums averaged for one estimate
-_MAX_FIRST_LOBE = 10_000_000
 
 
-def _lobe_boundaries(k, a, q, mode):
-    """Zero number k of the fast factor, for a scalar or an array k; in
-    mode 0 index k has a zero only where (k pi)^2 >= 4 q."""
-    if mode == 0:
-        kpi = k * math.pi
-        return 0.5 * (kpi + np.sqrt(kpi * kpi - 4.0 * q))
-    if mode == 1:
-        return k * math.pi / a
-    return (k + 0.5) * math.pi / a
+def _zeros(j, z, cosh):
+    """Zero number j >= 1 of sin(z g(t)) on t > 0, for a scalar or an
+    array j.  For cosh, z cosh t = z + 2 z sinh(t/2)^2 and the zeros sit
+    where the second term is j pi - (z mod pi), so no j pi close to a
+    huge z is ever formed."""
+    if cosh:
+        return 2.0 * np.arcsinh(np.sqrt(
+            0.5 * (j * math.pi - math.fmod(z, math.pi)) / z))
+    return np.arcsinh(j * math.pi / z)
 
 
-def _lobe_boundary(k, a, q, mode):
-    """_lobe_boundaries for one index k, or -1.0 where there is no zero."""
-    if mode == 0 and (k * math.pi) * (k * math.pi) - 4.0 * q < 0.0:
-        return -1.0
-    return float(_lobe_boundaries(k, a, q, mode))
-
-
-def _index_estimate(t, a, q, mode):
-    """Real index at which the boundaries pass t, up to rounding."""
-    if mode == 0:
-        # t + q/t = k pi on the branch t >= sqrt(q), where the zeros live
-        root = math.sqrt(q)
-        x = (t + q / t if t > root else 2.0 * root) / math.pi
-    else:
-        x = t * a / math.pi - (0.5 if mode == 2 else 0.0)
-    return int(x) if x < _MAX_FIRST_LOBE else _MAX_FIRST_LOBE + 1
-
-
-def _first_index(holds, k, lowest):
-    """Smallest index j >= lowest where the monotone test holds(j) is
-    true, searched from an estimate k that is off by rounding only."""
-    k = max(k, lowest)
-    while k > lowest and holds(k - 1):
-        k -= 1
-    while not holds(k):
-        k += 1
-    return k
-
-
-def _lobe_integrals(lo, uppers, a, q, mode):
+def _lobe_integrals(lo, uppers, z, cosh):
     """One Gauss-Legendre panel per lobe, over [lo, uppers[0]],
     [uppers[0], uppers[1]], ...; node sums run left to right."""
     edges = np.concatenate(((lo,), uppers))
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = mid + half * _NODE_COLUMN
-    if mode == 0:
-        f = np.sin(t + q / t) / t
-    elif mode == 1:
-        f = np.sin(a * t) * np.cos(q / t) / t
+    if cosh:
+        # sin(z + phi) with phi = z (cosh t - 1) formed without rounding z
+        s = np.sinh(0.5 * t)
+        phi = z * (2.0 * s * s)
+        f = math.sin(z) * np.cos(phi) + math.cos(z) * np.sin(phi)
     else:
-        f = np.cos(a * t) * np.sin(q / t) / t
+        f = np.sin(z * np.sinh(t))
     terms = _WEIGHT_COLUMN * f
     # over a single column numpy would sum pairwise; cumsum is sequential
     acc = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms)[-1:]
     return acc * half
+
+
+def _head(z, cosh):
+    """Integral over [0, first zero], where the integrand is smooth, on
+    ceil(first zero) equal panels and on twice as many: (the first zero,
+    the finer sum, the difference of the two sums)."""
+    end = float(_zeros(1, z, cosh))
+    panels = max(math.ceil(end), 1)
+    coarse, fine = (
+        _lobe_integrals(0.0, np.linspace(0.0, end, n + 1)[1:], z, cosh).sum()
+        for n in (panels, 2 * panels))
+    return end, float(fine), abs(float(fine - coarse))
 
 
 def _euler_estimates(history, partials, done):
@@ -292,71 +273,49 @@ def _euler_estimates(history, partials, done):
     return estimates, sums[1 - _EULER_WINDOW:]
 
 
-def osc_tail(c, a, q, mode, max_lobes=2000, tol=1e-12):
-    """integral of the mode integrand over [c, inf).
+def osc_tail(z, cosh, max_lobes=2000, tol=1e-12):
+    """integral over [0, inf) of sin(z cosh t) (cosh true) or of
+    sin(z sinh t) (cosh false), for finite z >= 1e-300.
 
     Returns (value, error_estimate, converged_flag, lobes_used) as
-    (float, float, int, int).  The head -- [c, first zero], the lobes
-    where the slow cos(q/t)/sin(q/t) factor may still change sign, and
-    four safety lobes -- is summed directly; beyond it up to max_lobes
-    alternating lobes are summed and accelerated with the Euler
-    transform until two successive estimates (from lobe 6 on) differ by
-    less than tol.
+    (float, float, int, int).  The head [0, first zero] is summed on two
+    panel counts; beyond it up to max_lobes alternating lobes are summed
+    and accelerated with the Euler transform.  The first estimate from
+    lobe 6 on whose last two changes are both below tol is accepted; its
+    error is twice the largest of the last three changes, plus the head
+    error, plus 1e-15 (|value| + 1).
     """
-    c, a, q, tol = float(c), float(a), float(q), float(tol)
+    z, tol = float(z), float(tol)
     max_lobes = max(int(max_lobes), 0)
-    first = _first_index(
-        lambda j: j > _MAX_FIRST_LOBE or (
-            _lobe_boundary(j, a, q, mode) > c
-            and _lobe_boundary(j, a, q, mode) > 0.0),
-        _index_estimate(c, a, q, mode), 0)
-    if first > _MAX_FIRST_LOBE:
-        return 0.0, 1.0, 0, 0
-    slow_limit = 2.0 * q / math.pi if mode != 0 else 0.0
-    head_lobes = 0
-    if _lobe_boundary(first, a, q, mode) < slow_limit:
-        head_lobes = _first_index(
-            lambda j: not _lobe_boundary(j, a, q, mode) < slow_limit,
-            _index_estimate(slow_limit, a, q, mode), first) - first
-    head = head_lobes + 5            # panels summed directly
-    total_lobes = head + max_lobes
+    lo, total, head_err = _head(z, cosh)
 
-    total = 0.0
-    lo = c
-    estimate = None
-    err = 1e308
+    value = total
+    last = math.inf                  # the estimate before the block
+    changes = np.full(2, math.inf)   # the last two changes before it
     history = np.empty(0)
-    done = 0                         # panels so far, head included
-    size = min(head + _FIRST_BLOCK, _MAX_BLOCK)
-    while done < total_lobes:
-        count = min(size, total_lobes - done)
-        k = np.arange(first + done, first + done + count, dtype=np.float64)
-        uppers = _lobe_boundaries(k, a, q, mode)
-        sums = np.cumsum(np.concatenate(
-            ((total,), _lobe_integrals(lo, uppers, a, q, mode))))
-        total, lo = sums[-1], uppers[-1]
-        tail_start = head - done     # entry of sums where the head ends
-        done += count
-        size = min(2 * size, _MAX_BLOCK)
-        if done <= head:
-            continue
-        if tail_start >= 0:
-            estimate = sums[tail_start]
-        partials = sums[max(tail_start, 0) + 1:]
-        tail_done = done - head - partials.size
-        estimates, history = _euler_estimates(history, partials, tail_done)
-        skip = max(0, 5 - tail_done)  # estimates start at lobe 6
-        new = estimates[skip:]
-        if not new.size:
-            continue
-        changes = np.abs(new - np.concatenate(((estimate,), new[:-1])))
-        hits = np.flatnonzero(changes < tol)
+    done = 0                         # tail lobes so far
+    size = _FIRST_BLOCK
+    while done < max_lobes:
+        count = min(size, max_lobes - done)
+        j = np.arange(done + 2, done + 2 + count, dtype=np.float64)
+        uppers = _zeros(j, z, cosh)
+        partials = np.cumsum(np.concatenate(
+            ((total,), _lobe_integrals(lo, uppers, z, cosh))))[1:]
+        total, lo = partials[-1], uppers[-1]
+        estimates, history = _euler_estimates(history, partials, done)
+        changes = np.concatenate((
+            changes[-2:], np.abs(np.diff(estimates, prepend=last))))
+        n = np.arange(done + 1, done + count + 1)
+        hits = np.flatnonzero((n >= 6) & (changes[1:-1] < tol)
+                              & (changes[2:] < tol))
         if hits.size:
             i = hits[0]
-            value = float(new[i])
-            return (value, float(changes[i]) + 1e-15 * (abs(value) + 1.0), 1,
-                    int(tail_done + skip + i + 1))
-        estimate, err = new[-1], changes[-1]
-    if estimate is None:             # no tail lobe
-        estimate = total
-    return float(estimate), float(err), 0, max_lobes
+            value = float(estimates[i])
+            err = 2.0 * float(changes[i:i + 3].max()) + head_err
+            return (value, err + 1e-15 * (abs(value) + 1.0), 1,
+                    int(done + i + 1))
+        value = last = float(estimates[-1])
+        done += count
+        size = min(2 * size, _MAX_BLOCK)
+    err = 2.0 * float(changes[-3:].max()) + head_err
+    return float(value), err + 1e-15 * (abs(value) + 1.0), 0, max_lobes

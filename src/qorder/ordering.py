@@ -253,13 +253,6 @@ def detect_ambiguity(n: NormalForm, free) -> AmbiguityReport:
     return AmbiguityReport(params, surviving)
 
 
-def prove_equal(a: OperatorExpr, b: OperatorExpr,
-                convention: Convention) -> bool:
-    """Exact equality via canonical forms (the rewrite system is confluent
-    on the supported fragment, so this is a proof, not a numeric check)."""
-    return normal_order(a, convention) == normal_order(b, convention)
-
-
 @dataclass(frozen=True)
 class ODEDescriptor:
     """First-order momentum-space ODE a(p) psi' + b(p) psi = E psi."""

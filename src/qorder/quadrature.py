@@ -3,12 +3,13 @@
 The integrands sin(a u + b/u)/u, sin(a u)cos(b/u)/u and
 sin(b/u)cos(a u)/u oscillate infinitely fast at u -> 0+ and decay only
 like 1/u at infinity, so plain adaptive quadrature diverges at both
-ends.  Each integral is split at the stationary/balance point
-u* = sqrt(b/a); the inner part is mapped by u -> b/v onto another tail
-of the same family, and each tail is integrated lobe by lobe between
-consecutive zeros of the fast factor with the alternating lobe sums
-accelerated by an iterated-averaging Euler transform (see
-:mod:`qorder._kernels`).
+ends.  All three rest on one integral, Phi(a, b) = integral of
+sin(a u + b/u) du / u.  With u = sqrt(b/|a|) e^t and z = 2 sqrt(|a| b)
+the phase becomes z cosh t for a > 0 and -z sinh t for a < 0 (the
+Mehler-Sonine form, DLMF 10.9.9; Watson, *Theory of Bessel Functions*
+6.21), so Phi is a sum of half-line integrals of sin(z cosh t) or
+sin(z sinh t), each integrated lobe by lobe between the closed-form
+zeros of its phase (see :mod:`qorder._kernels`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import os
 from dataclasses import dataclass
 
 from ._kernels import osc_tail
+
+_Q_FLOOR = 1e-12        # smallest phase coupling q = |a| b evaluated
 
 
 class QuadratureError(RuntimeError):
@@ -46,8 +49,8 @@ class QuadratureSpec:
         return cls(**overrides)
 
 
-def _tail(c, a, q, mode, spec: QuadratureSpec):
-    value, err, converged, _ = osc_tail(c, a, q, mode,
+def _half_line(z, cosh, spec: QuadratureSpec):
+    value, err, converged, _ = osc_tail(z, cosh,
                                         max_lobes=spec.max_subdivisions,
                                         tol=1e-12)
     if not converged:
@@ -58,46 +61,52 @@ def _tail(c, a, q, mode, spec: QuadratureSpec):
 
 def sin_phase_integral(a: float, b: float,
                        spec: QuadratureSpec) -> tuple[float, float]:
-    """integral over (0, inf) of sin(a u + b/u) du / u, for a, b >= 0.
+    """Phi(a, b) = integral over (0, inf) of sin(a u + b/u) du / u, for
+    finite a and finite b >= 0.
 
-    Splitting at u* = sqrt(b/a) and substituting u -> b/v on the inner
-    sector folds both halves onto the same tail, so the result is
-    2 * integral_{sqrt(ab)}^{inf} sin(t + ab/t) dt / t (equal to
-    pi J_0(2 sqrt(ab))).
+    The two sectors u > sqrt(b/|a|) and u < sqrt(b/|a|) are the half-lines
+    t > 0 and t < 0.  For a > 0 both are I = integral_0^inf sin(z cosh t)
+    dt, so Phi = 2 I (= pi J_0(z)).  For a < 0 they are -I and +I with
+    I = integral_0^inf sin(z sinh t) dt, and Phi is the computed I - I
+    with error 2 err(I).  Phi(0, b) is the limit from a > 0, and
+    Phi(a, 0) the limit from b > 0.
     """
-    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
-        raise ValueError("domain error: sin_phase_integral needs finite "
-                         f"a, b >= 0, got a={a!r}, b={b!r}")
+    if not (math.isfinite(a) and 0.0 <= b < math.inf):
+        raise ValueError("domain error: sin_phase_integral needs finite a "
+                         f"and finite b >= 0, got a={a!r}, b={b!r}")
     if a == 0.0 and b == 0.0:
         return 0.0, 0.0
-    if a == 0.0 or b == 0.0:
-        # symmetric-limit convention at the degenerate point: the two
-        # sectors are paired before the a -> 0 (or b -> 0) limit, so the
-        # value is the continuous limit of the a, b > 0 case, evaluated
-        # at a vanishing phase-coupling q
-        q = 1e-12
-        value, err = _tail(math.sqrt(q), 1.0, q, 0, spec)
-        return 2.0 * value, 2.0 * err + 4.0 * q
-    q = a * b
-    value, err = _tail(math.sqrt(q), 1.0, q, 0, spec)
-    return 2.0 * value, 2.0 * err
+    q = abs(a) * b
+    if q == math.inf:
+        raise QuadratureError("quadrature failed: the phase coupling |a| b "
+                              f"overflows, got a={a!r}, b={b!r}")
+    pad = 0.0
+    if q < _Q_FLOOR:
+        # symmetric-limit convention at a = 0 or b = 0: the two sectors
+        # are paired before the limit, so the value is the continuous
+        # limit of the a, b != 0 case.  Below q = 1e-12, the degenerate
+        # points included, Phi is taken at q = 1e-12, which moves it by
+        # less than pi * 1e-12
+        q, pad = _Q_FLOOR, 4.0 * _Q_FLOOR
+    value, err = _half_line(2.0 * math.sqrt(q), a >= 0.0, spec)
+    if a >= 0.0:
+        return 2.0 * value, 2.0 * err + pad
+    outer, inner = -value, value     # the sectors t > 0 and t < 0
+    return outer + inner, 2.0 * err + pad
 
 
 def sin_cos_integral(a: float, b: float, spec: QuadratureSpec,
                      sin_fast: bool = True) -> tuple[float, float]:
     """integral over (0, inf) of the mixed product du / u.
 
-    sin_fast=True  : sin(a u) cos(b / u) / u
-    sin_fast=False : cos(a u) sin(b / u) / u
+    sin_fast=True  : sin(a u) cos(b / u) / u = (Phi(a, b) - Phi(-a, b)) / 2
+    sin_fast=False : cos(a u) sin(b / u) / u = (Phi(a, b) + Phi(-a, b)) / 2
     Both equal (pi/2) J_0(2 (a^2 b^2)^(1/4)) for a, b > 0.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError("domain error: sin_cos_integral needs finite "
                          f"a, b > 0, got a={a!r}, b={b!r}")
-    split = math.sqrt(b / a)
-    q = a * b
-    outer_mode = 1 if sin_fast else 2
-    inner_mode = 2 if sin_fast else 1
-    v1, e1 = _tail(split, a, b, outer_mode, spec)
-    v2, e2 = _tail(math.sqrt(q), 1.0, q, inner_mode, spec)
-    return v1 + v2, e1 + e2
+    phi_a, e1 = sin_phase_integral(a, b, spec)
+    phi_minus_a, e2 = sin_phase_integral(-a, b, spec)
+    value = phi_a - phi_minus_a if sin_fast else phi_a + phi_minus_a
+    return 0.5 * value, 0.5 * (e1 + e2)

@@ -3,6 +3,7 @@ integral identities, and ODE residuals in both representations."""
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,6 +28,9 @@ class MomentumEigenfunction:
             raise ValueError("domain error: MomentumEigenfunction needs "
                              "finite E and finite hbar > 0, got "
                              f"E={self.E!r}, hbar={self.hbar!r}")
+        if not cmath.isfinite(self.N):
+            raise ValueError("domain error: MomentumEigenfunction needs "
+                             f"a finite N, got N={self.N!r}")
 
     def value(self, p: float) -> complex:
         if p == 0:
@@ -57,6 +61,10 @@ class CoordinateEigenfunction:
         if not 0.0 <= self.nu < math.inf:
             raise ValueError("domain error: CoordinateEigenfunction needs "
                              f"finite nu >= 0, got nu={self.nu!r}")
+        if not cmath.isfinite(self.amplitude):
+            raise ValueError("domain error: CoordinateEigenfunction needs a "
+                             f"finite amplitude, got amplitude="
+                             f"{self.amplitude!r}")
 
     def scaled_argument(self, x: float) -> float:
         return 2.0 * math.sqrt(self.E * abs(x)) / self.hbar
@@ -77,7 +85,10 @@ class ResidualReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
+        # max() keeps a NaN only where it comes first
+        if any(math.isnan(r) for r in self.residuals):
+            return math.nan
+        return max(self.residuals, default=0.0)
 
     @property
     def mean_residual(self) -> float:
@@ -136,24 +147,18 @@ def fourier_reconstruct_detailed(psi: MomentumEigenfunction, x: float,
 
     Sector-split at p = 0 with the symmetric principal-value pairing;
     the combined integrand is 2 i N sin(E/(hbar p) + p x / hbar) / p
-    over (0, inf).  For x < 0 the sine of the difference phase is
-    integrated as the two mixed products separately.
+    over (0, inf), so psi(x) = 2 i N Phi(x / hbar, E / hbar) for every
+    finite x (see :func:`qorder.quadrature.sin_phase_integral`).  For
+    x < 0 that is the computed I - I of two sinh half-line integrals,
+    with its bound.
     """
     if not math.isfinite(x):
         raise ValueError("domain error: fourier_reconstruct_detailed needs "
                          f"finite x, got x={x!r}")
     spec = spec or QuadratureSpec.from_env()
-    a = x / psi.hbar
-    b = psi.E / psi.hbar
     if psi.N == 0:
         return Reconstruction(0j, 0.0)
-    if x >= 0:
-        integral, err = sin_phase_integral(a, b, spec)
-    else:
-        # sin(b/p - |a| p) = sin(b/p)cos(|a| p) - cos(b/p)sin(|a| p)
-        s1, e1 = sin_cos_integral(-a, b, spec, sin_fast=False)
-        s2, e2 = sin_cos_integral(-a, b, spec, sin_fast=True)
-        integral, err = s1 - s2, e1 + e2
+    integral, err = sin_phase_integral(x / psi.hbar, psi.E / psi.hbar, spec)
     scale = 2j * psi.N
     return Reconstruction(scale * integral, abs(scale) * err)
 
@@ -188,6 +193,13 @@ def coordinate_ode_residual(psi: CoordinateEigenfunction, alpha_gamma: float,
                             tolerance: float = 1e-8) -> ResidualReport:
     """Residual of x^2 psi'' + x psi' - (alpha gamma) psi + (E/hbar^2) x psi,
     normalized by the largest term magnitude at each point."""
+    if not math.isfinite(alpha_gamma):
+        raise ValueError("domain error: coordinate_ode_residual needs "
+                         f"finite alpha_gamma, got alpha_gamma="
+                         f"{alpha_gamma!r}")
+    if not (0.0 < E < math.inf and 0.0 < hbar < math.inf):
+        raise ValueError("domain error: coordinate_ode_residual needs "
+                         f"finite E, hbar > 0, got E={E!r}, hbar={hbar!r}")
     grid = tuple(float(x) for x in grid)
     for x in grid:
         if not 0.0 < x < math.inf:

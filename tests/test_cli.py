@@ -153,6 +153,17 @@ def test_solve_negative_grid_with_equals_form():
         [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0]
 
 
+def test_solve_far_negative_axis():
+    """x = -1e6 has no pile of head lobes to sum: it takes as few lobes
+    as x = 1 and no row is flagged."""
+    proc = run_cli("solve", "--E", "1", "--x-grid=-1e6:0:2")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.strip().split("\n")[1:]]
+    assert [float(row[0]) for row in rows] == [-1e6, 0.0]
+    assert [row[6] for row in rows] == ["false", "false"]
+    assert float(rows[0][1]) == float(rows[0][2]) == 0.0
+
+
 def test_solve_bad_grid():
     proc = run_cli("solve", "--E", "1", "--x-grid", "0:1")
     assert proc.returncode == 2

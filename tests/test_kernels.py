@@ -1,70 +1,66 @@
-"""The block-evaluated lobe quadrature agrees with the scalar
-lobe-at-a-time reference in ``lobe_reference`` and hands out Python
-scalars."""
+"""The block-evaluated lobe quadrature does not depend on its blocks,
+hands out Python scalars, and reports error bounds that hold against
+mpmath: the Mehler-Sonine half-lines integral_0^inf sin(z cosh t) dt =
+(pi/2) J_0(z) and integral_0^inf sin(z sinh t) dt = (pi/2) (I_0(z) -
+L_0(z)) (DLMF 10.9.9 and 11.5.4 with nu = 0)."""
 
 import math
 import random
 
+import mpmath
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import lobe_reference
 from qorder._kernels import _euler_estimates, _lobe_integrals, osc_tail
 
-
-def _tail_calls(rng, count):
-    """(c, a, q, mode, max_lobes) as sin_phase_integral and
-    sin_cos_integral make them, for q log-spaced over [0.1, 100]."""
-    calls = []
-    for i in range(count):
-        q = 10.0 ** (-1.0 + 3.0 * i / (count - 1))
-        a = 10.0 ** rng.uniform(-2.0, math.log10(200.0))
-        b = q / a
-        mode = rng.randrange(3)
-        max_lobes = rng.choice((5, 10, 2000, 2000))
-        if mode == 0:
-            calls.append((math.sqrt(q), 1.0, q, 0, max_lobes))
-        elif rng.random() < 0.5:
-            calls.append((math.sqrt(b / a), a, b, mode, max_lobes))  # split
-        else:
-            calls.append((math.sqrt(q), 1.0, q, mode, max_lobes))
-    return calls
+# z = 2 sqrt(q) over log-spaced q in [1e-6, 1e4], 12 points a decade
+LOG_Z = tuple(2.0 * 10.0 ** (-3.0 + 5.0 * i / 60) for i in range(61))
 
 
-def _assert_same(got, want, label):
-    value, err, converged, lobes = got
-    assert (converged, lobes) == want[2:], (label, got, want)
-    assert math.isclose(value, want[0], rel_tol=1e-15, abs_tol=0.0), \
-        (label, got, want)
-    assert math.isclose(err, want[1], rel_tol=1e-15, abs_tol=0.0), \
-        (label, got, want)
+def half_line_oracle(z, cosh):
+    """The half-line integral from mpmath.  I_0 - L_0 cancels to about
+    exp(-z) of its terms, hence the z extra digits."""
+    with mpmath.workdps(30 + int(z)):
+        if cosh:
+            return float(mpmath.pi / 2 * mpmath.besselj(0, z))
+        return float(mpmath.pi / 2 * (mpmath.besseli(0, z)
+                                      - mpmath.struvel(0, z)))
 
 
-def test_block_quadrature_matches_scalar_reference():
-    calls = _tail_calls(random.Random(20240607), 2100)
-    outcomes = set()
-    for c, a, q, mode, max_lobes in calls:
-        want = lobe_reference.osc_tail(c, a, q, mode, max_lobes=max_lobes)
-        got = osc_tail(c, a, q, mode, max_lobes=max_lobes)
-        _assert_same(got, want, (c, a, q, mode, max_lobes))
-        outcomes.add((mode, want[2]))
-    # every mode both converges and runs out of lobes somewhere
-    assert outcomes == {(m, ok) for m in range(3) for ok in (0, 1)}
+def _assert_bounded(z, cosh):
+    value, err, converged, lobes = osc_tail(z, cosh)
+    assert converged == 1, (z, cosh)
+    miss = abs(value - half_line_oracle(z, cosh))
+    assert miss <= err, (z, cosh, value, miss, err, lobes)
+    assert err < 1e-10, (z, cosh, err)
 
 
-def test_block_quadrature_matches_reference_across_blocks():
-    """tol=0 never converges, so the tail runs through several doubling
-    blocks and past the 40-sum averaging window, and max_lobes=33 leaves
-    a last block of one lobe; q = 2e4 puts more head lobes below 2q/pi
-    than one block holds."""
-    calls = [(1.0, 1.0, 1.0, 0, 300), (0.3, 5.0, 0.7, 1, 170),
-             (0.9, 2.0, 0.5, 2, 33),
-             (10.0, 1.0, 100.0, 2, 77), (math.sqrt(2e4), 1.0, 2e4, 1, 2000),
-             (3.0, 0.5, 2e4, 2, 2000)]
-    for c, a, q, mode, max_lobes in calls:
-        tol = 0.0 if max_lobes < 2000 else 1e-12
-        want = lobe_reference.osc_tail(c, a, q, mode, max_lobes, tol)
-        got = osc_tail(c, a, q, mode, max_lobes, tol)
-        _assert_same(got, want, (c, a, q, mode, max_lobes))
+def test_half_lines_within_their_bounds():
+    for cosh in (True, False):
+        for z in LOG_Z:
+            _assert_bounded(z, cosh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-6.0, 4.0), st.booleans())
+def test_half_lines_within_their_bounds_drawn(log_q, cosh):
+    _assert_bounded(2.0 * math.sqrt(10.0 ** log_q), cosh)
+
+
+def test_huge_arguments_converge_within_a_block():
+    """The lobes start at closed-form zeros whatever z is, so no head
+    lobes pile up: z = 2e12 (x = -1e12 or 1e12 at E = hbar = 1) takes at
+    most 30 lobes in either family."""
+    for cosh in (True, False):
+        value, err, converged, lobes = osc_tail(2e12, cosh)
+        assert converged == 1 and lobes <= 30, (cosh, lobes)
+        assert err < 1e-10
+    # (pi/2) J_0(z) ~ sqrt(pi / (2 z)) cos(z - pi/4) for large z
+    with mpmath.workdps(40):
+        want = float(mpmath.pi / 2 * mpmath.besselj(0, mpmath.mpf(2e12)))
+    value, err, _, _ = osc_tail(2e12, True)
+    assert abs(value - want) <= err
 
 
 def _window_average(partials, n):
@@ -96,19 +92,18 @@ def test_lobe_integrals_do_not_depend_on_the_blocks():
     """A lobe integrated alone or inside a block sums its nodes in the
     same order, so the two agree bit for bit."""
     rng = random.Random(11)
-    for mode in range(3):
-        a, q = rng.uniform(0.5, 3.0), rng.uniform(0.1, 50.0)
-        edges = np.cumsum([rng.uniform(3.0, 5.0)] +
-                          [rng.uniform(0.2, 2.0) for _ in range(40)])
-        block = _lobe_integrals(edges[0], edges[1:], a, q, mode)
-        alone = [_lobe_integrals(edges[i], edges[i + 1:i + 2], a, q, mode)[0]
+    for cosh in (True, False):
+        z = rng.uniform(0.1, 50.0)
+        edges = np.cumsum([rng.uniform(0.0, 0.5)] +
+                          [rng.uniform(0.01, 0.3) for _ in range(40)])
+        block = _lobe_integrals(edges[0], edges[1:], z, cosh)
+        alone = [_lobe_integrals(edges[i], edges[i + 1:i + 2], z, cosh)[0]
                  for i in range(40)]
-        assert block.tolist() == alone, mode
+        assert block.tolist() == alone, cosh
 
 
 def test_osc_tail_returns_python_scalars():
-    for c, a, q, mode in ((1.0, 1.0, 1.0, 0), (1.5, 2.0, 0.75, 1),
-                          (0.8, 1.3, 0.64, 2)):
+    for z, cosh in ((2.0, True), (1.5, False)):
         for max_lobes in (5, 2000):
-            result = osc_tail(c, a, q, mode, max_lobes=max_lobes)
+            result = osc_tail(z, cosh, max_lobes=max_lobes)
             assert [type(v) for v in result] == [float, float, int, int]

@@ -2,8 +2,13 @@
 
 import json
 import math
+import random
+import re
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qorder import verification
 from qorder._kernels import osc_tail
@@ -21,6 +26,13 @@ from qorder.verification import (ORDER_SCAN_GRID, CoordinateEigenfunction,
 
 SPEC = QuadratureSpec()
 GRID = (0.1, 0.5, 1.0, 2.0, 10.0, -0.1, -0.5, -1.0, -2.0, -10.0)
+# phase couplings q = |a| b, log-spaced over [1e-6, 1e4], 6 a decade
+LOG_Q = tuple(10.0 ** (-6.0 + i / 6.0) for i in range(61))
+
+
+def j0_oracle(z):
+    """J_0(z) from mpmath, which shares no code with qorder.bessel."""
+    return float(mpmath.besselj(0, mpmath.mpf(z)))
 
 
 # -- momentum representation ---------------------------------------------------
@@ -85,6 +97,45 @@ def test_sin_phase_closed_form():
         assert abs(value - target) <= max(1e-9, err)
 
 
+def _split(rng, q):
+    """(a, b) with a b = q and a spread over four decades."""
+    a = math.sqrt(q) * 10.0 ** rng.uniform(-2.0, 2.0)
+    return a, q / a
+
+
+def _assert_phi_bounded(a, b):
+    value, err = sin_phase_integral(a, b, SPEC)
+    # a > 0: pi J_0(2 sqrt(ab)); a < 0: the sinh sectors cancel (each
+    # is held against mpmath in test_kernels)
+    want = math.pi * j0_oracle(2.0 * math.sqrt(a * b)) if a > 0 else 0.0
+    assert abs(value - want) <= err < 1e-10, (a, b, value, want, err)
+
+
+def test_sin_phase_within_its_bound_for_both_signs():
+    rng = random.Random(3)
+    for q in LOG_Q:
+        a, b = _split(rng, q)
+        _assert_phi_bounded(a, b)
+        _assert_phi_bounded(-a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-6.0, 4.0), st.floats(-2.0, 2.0), st.booleans())
+def test_sin_phase_within_its_bound_drawn(log_q, tilt, positive):
+    a = 10.0 ** (0.5 * log_q + tilt)
+    _assert_phi_bounded(a if positive else -a, 10.0 ** log_q / a)
+
+
+def test_sin_cos_within_its_bound_for_both_orderings():
+    rng = random.Random(4)
+    for q in LOG_Q:
+        a, b = _split(rng, q)
+        want = 0.5 * math.pi * j0_oracle(2.0 * math.sqrt(q))
+        for sin_fast in (True, False):
+            value, err = sin_cos_integral(a, b, SPEC, sin_fast=sin_fast)
+            assert abs(value - want) <= err < 1e-10, (a, b, sin_fast)
+
+
 def test_sin_phase_degenerate_limits():
     """At a = 0 or b = 0 the sectors are combined before the limit, so the
     value is the continuous limit pi (not the literal pi/2)."""
@@ -92,8 +143,11 @@ def test_sin_phase_degenerate_limits():
         value, _ = sin_phase_integral(*args, SPEC)
         assert abs(value - math.pi) <= 1e-5
     assert sin_phase_integral(0.0, 0.0, SPEC) == (0.0, 0.0)
-    with pytest.raises(ValueError, match=r"got a=-1\.0, b=1\.0"):
-        sin_phase_integral(-1.0, 1.0, SPEC)
+    with pytest.raises(ValueError, match=r"got a=1\.0, b=-1\.0"):
+        sin_phase_integral(1.0, -1.0, SPEC)
+    # a < 0 is inside the domain: the two sinh sectors cancel
+    value, err = sin_phase_integral(-1.0, 1.0, SPEC)
+    assert abs(value) <= err < 1e-10
 
 
 def test_sin_phase_rejects_nonfinite_arguments():
@@ -120,6 +174,13 @@ def test_quadrature_failure_reports_partial_value():
     assert exc.value.value is not None
 
 
+def test_quadrature_rejects_overflowing_coupling():
+    """|a| b = inf has no lobes to sum; the failure names the values."""
+    for a in (1e300, -1e300):
+        with pytest.raises(QuadratureError, match=r"a=-?1e\+300, b=1e\+300"):
+            sin_phase_integral(a, 1e300, SPEC)
+
+
 def test_quadrature_spec_env_override(monkeypatch):
     monkeypatch.setenv("QORDER_MAX_SUBDIV", "123")
     assert QuadratureSpec.from_env().max_subdivisions == 123
@@ -144,12 +205,40 @@ def test_reconstruction_proportional_to_j0():
     assert abs(base - 2j * math.pi) / (2 * math.pi) <= 1e-4
 
 
+def test_reconstruction_within_its_bound_for_both_signs():
+    """psi(x) = 2 pi i N J_0(2 sqrt(E x) / hbar) for x >= 0, x = 0
+    included, and 0 for x < 0, each within the reported error."""
+    rng = random.Random(5)
+    for q in (0.0,) + LOG_Q:
+        E = 10.0 ** rng.uniform(-0.5, 0.5)
+        hbar = 10.0 ** rng.uniform(-0.5, 0.5)
+        psi = MomentumEigenfunction(E, hbar, N=1.5 - 0.5j)
+        x = q * hbar ** 2 / E
+        for sign in (1.0, -1.0) if x else (1.0,):
+            rec = fourier_reconstruct_detailed(psi, sign * x, SPEC)
+            want = (2j * math.pi * psi.N * j0_oracle(2.0 * math.sqrt(q))
+                    if sign > 0 else 0.0)
+            assert abs(rec.value - want) <= rec.abs_error < 1e-9, \
+                (sign * x, rec, want)
+
+
 def test_reconstruction_zero_location():
     psi = MomentumEigenfunction(E=1.0, hbar=1.0)
     z0 = bessel_first_zero(0.0)
     expected = (z0 / 2.0) ** 2
     found = reconstruction_first_zero(psi, SPEC)
     assert abs(found - expected) / expected <= 1e-4
+
+
+def test_eigenfunctions_reject_nonfinite_normalizations():
+    for N in (math.nan, complex(1.0, math.inf), complex(-math.inf, 0.0)):
+        with pytest.raises(ValueError,
+                           match="domain error: .*N=" + re.escape(repr(N))):
+            MomentumEigenfunction(1.0, 1.0, N=N)
+    with pytest.raises(ValueError, match=r"domain error: .*amplitude=nan"):
+        CoordinateEigenfunction(1.0, 1.0, amplitude=math.nan)
+    with pytest.raises(ValueError, match=r"amplitude=\(1\+infj\)"):
+        CoordinateEigenfunction(1.0, 1.0, amplitude=complex(1.0, math.inf))
 
 
 def test_reconstruction_scales_with_normalization():
@@ -171,11 +260,13 @@ def test_reconstruction_rejects_nonfinite_x():
 
 
 def test_reconstruction_negative_axis_vanishes():
-    """For x < 0 the two mixed-product integrals cancel exactly."""
+    """For x < 0 the two sectors are the same sinh half-line integral
+    with opposite signs, so the computed I - I vanishes within its
+    bound."""
     psi = MomentumEigenfunction(E=1.0, hbar=1.0)
     for x in (-0.5, -1.0, -2.0):
         rec = fourier_reconstruct_detailed(psi, x, SPEC)
-        assert abs(rec.value) <= 1e-6
+        assert abs(rec.value) <= rec.abs_error < 1e-10
 
 
 # -- coordinate representation -------------------------------------------------
@@ -211,6 +302,17 @@ def test_coordinate_singular_grid_rejected():
         coordinate_ode_residual(psi, 0.0625, 1.0, 1.0, (0.0, 1.0))
     with pytest.raises(ValueError, match=r"got x=-2\.0"):
         coordinate_ode_residual(psi, 0.0625, 1.0, 1.0, (1.0, -2.0))
+
+
+def test_coordinate_ode_rejects_bad_parameters():
+    psi = CoordinateEigenfunction(1.0, 1.0, 0.5)
+    for args, shown in (((math.nan, 1.0, 1.0), "alpha_gamma=nan"),
+                        ((0.0625, math.inf, 1.0), r"E=inf, hbar=1\.0"),
+                        ((0.0625, 1.0, math.nan), r"E=1\.0, hbar=nan"),
+                        ((0.0625, -1.0, 1.0), r"E=-1\.0, hbar=1\.0"),
+                        ((0.0625, 1.0, 0.0), r"E=1\.0, hbar=0\.0")):
+        with pytest.raises(ValueError, match="domain error: .*" + shown):
+            coordinate_ode_residual(psi, *args, (1.0, 2.0))
 
 
 def test_determine_bessel_order():
@@ -262,11 +364,20 @@ def test_residual_report_serialization():
         ResidualReport((1.0,), (), 1e-12)
 
 
+def test_residual_report_nan_fails():
+    """A NaN residual anywhere makes the maximum NaN, so the report
+    fails, wherever the NaN sits."""
+    for residuals in ((1e-13, math.nan), (math.nan, 1e-13)):
+        report = ResidualReport((1.0, 2.0), residuals, 1e-12)
+        assert math.isnan(report.max_residual)
+        assert report.passed is False
+
+
 def test_kernel_results_are_python_scalars():
     """numpy scalars from the pure-Python kernel path must not reach the
     reports: numpy.bool is not JSON serializable, and numpy >= 2 writes
     np.float64(...) into the CSV cells."""
-    result = osc_tail(1.0, 1.0, 1.0, 0)
+    result = osc_tail(2.0, True)
     assert [type(v) for v in result] == [float, float, int, int]
     report = verify_integral_identity(1.0, 1.0)
     assert type(report.passed) is bool
