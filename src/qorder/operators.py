@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exponents import ExponentExpr, ONE_EXP
+from .exponents import ExponentExpr
 from .scalars import ScalarExpr, ScalarError, ONE
 
 _RESERVED_FUNC_NAMES = {"x", "p", "i", "hbar"}
@@ -92,16 +91,8 @@ class OperatorExpr:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def zero(cls) -> "OperatorExpr":
-        return cls(())
-
-    @classmethod
     def identity(cls, coeff=None) -> "OperatorExpr":
         return cls((OperatorWord(coeff if coeff is not None else ONE),))
-
-    @classmethod
-    def from_word(cls, word: OperatorWord) -> "OperatorExpr":
-        return cls((word,))
 
     @classmethod
     def from_factors(cls, *factors: Factor, coeff=None) -> "OperatorExpr":
@@ -162,6 +153,3 @@ class OperatorExpr:
     def __repr__(self):
         from .parser import print_operator
         return f"OperatorExpr({print_operator(self)!r})"
-
-
-HALF = Fraction(1, 2)

@@ -1,20 +1,25 @@
 """Normal ordering, Hermitian constructions, and ambiguity detection.
 
-The rewrite engine moves every momentum factor to the right of all
+Normal ordering moves every momentum factor to the right of all
 position-dependent factors (coordinate convention) or every position
-factor to the right of all momentum factors (momentum convention),
-using the generalized commutation rules
+factor to the right of all momentum factors (momentum convention).  It
+is one fold: each word is read from right to left into a dict from
+(carrier, m) to a coefficient, where the carrier is the commuting block
+of x-, f- or p-powers, keyed by base, and m is the power of the moving
+operator M.  A carrier factor adds its exponent to its base; one unit
+of M is the generalized Leibniz step (Wilcox, J. Math. Phys. 8, 962
+(1967))
 
-    p . x^s      = x^s . p      - i hbar s x^(s-1)
-    p . g^s      = g^s . p      - i hbar s g^(s-1) g'     (g abstract, g' commutes with g)
-    x . p^s      = p^s . x      + i hbar s p^(s-1)
+    M . C M^m = C M^(m+1) + c (dC) M^m,    c = -i hbar (M = p), +i hbar (M = x)
 
-with s any affine exponent on the carrier side; the moving operator's
-own exponent must be a nonnegative integer so it can be peeled one
-factor at a time.  The rules hold on the dense domain of smooth test
-functions, which is the justification for taking them as axioms for
-symbolic s; the monomial test-function oracle in the test suite checks
-them independently for integer exponents.
+where dC is the derivative of the carrier monomial: each base B^s
+gives s B^(s-1), times f^(d+1) when B is an abstract f^(d).  Like terms
+merge after every step.  The carrier exponents s are any affine
+exponents; the moving operator's own exponent must be a nonnegative
+integer, taken one unit at a time.  The rules hold on the dense domain
+of smooth test functions, which is the justification for taking them as
+axioms for symbolic s; the monomial test-function oracle in the test
+suite checks them independently for integer exponents.
 """
 
 from __future__ import annotations
@@ -47,18 +52,6 @@ class NormalForm:
 
     def as_operator_expr(self) -> OperatorExpr:
         return OperatorExpr(self.words)
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        if self.convention is not other.convention:
-            return False
-        if len(self.words) != len(other.words):
-            return False
-        for a, b in zip(self.words, other.words):
-            if a.factors != b.factors or a.coefficient != b.coefficient:
-                return False
-        return True
 
     __hash__ = None
 
@@ -94,122 +87,84 @@ def _validate_word(word: OperatorWord, convention: Convention) -> None:
                 "abstract x-functions unsupported in momentum convention")
 
 
-def _is_redex(left: Factor, right: Factor, moving: BaseKind) -> bool:
-    return left.kind is moving and right.kind is not moving
+# the kind that each leading tag of Factor.base_key stands for
+_KINDS = (BaseKind.X, BaseKind.FUNC, BaseKind.P)
+_MINUS_ONE = ExponentExpr.number(-1)
+# c of the Leibniz step: p x = x p - i hbar and x p = p x + i hbar
+_STEP = {Convention.COORDINATE: -I * HBAR, Convention.MOMENTUM: I * HBAR}
 
 
-def _swap_terms(left: Factor, right: Factor, convention: Convention):
-    """Commute one unit of the moving factor past the carrier factor.
+def _times_base(carrier: tuple, key: tuple, s: ExponentExpr) -> tuple:
+    """carrier * B^s for the base B of ``key``; a zero exponent drops B."""
+    bases = dict(carrier)
+    total = bases[key] + s if key in bases else s
+    if total.is_zero:
+        bases.pop(key, None)
+    else:
+        bases[key] = total
+    return tuple(sorted(bases.items()))
 
-    Returns [(extra_coeff, replacement_factors), ...] for M^t C^s with
-    the leftmost pairing; t is peeled one at a time.
+
+def _leibniz(carrier: tuple):
+    """(s, term) for each base B^s of the carrier: its share of the
+    derivative, s B^(s-1) times the rest, times f^(d+1) when B is f^(d)."""
+    for key, s in carrier:
+        term = _times_base(carrier, key, _MINUS_ONE)
+        if _KINDS[key[0]] is BaseKind.FUNC:
+            term = _times_base(term, (key[0], key[1], key[2] + 1), ONE_EXP)
+        yield s.to_scalar(), term
+
+
+def _merge(acc: dict, key, coeff: ScalarExpr) -> None:
+    acc[key] = acc[key] + coeff if key in acc else coeff
+
+
+def _fold_word(word: OperatorWord, convention: Convention) -> dict:
+    """{(carrier, m): coefficient} of one word, read right to left.
+
+    A carrier factor multiplies every carrier; one unit of the moving
+    operator M gives M C M^m = C M^(m+1) + c (dC) M^m.  Like terms merge
+    after every step.
     """
-    t = left.exponent.as_int()
-    assert t is not None and t >= 1
-    moving_rest = [] if t == 1 else [left.with_exponent(ExponentExpr.number(t - 1))]
-    moving_one = left.with_exponent(ONE_EXP)
-    s = right.exponent
-    sign = -1 if convention is Convention.COORDINATE else 1
-    comm_coeff = ScalarExpr(sign) * I * HBAR * s.to_scalar()
-
-    swapped = moving_rest + [right, moving_one]
-
-    lowered = []
-    reduced = s - ExponentExpr.number(1)
-    if not reduced.is_zero:
-        lowered.append(right.with_exponent(reduced))
-    if right.kind is BaseKind.FUNC:
-        lowered.append(Factor(BaseKind.FUNC, ONE_EXP, right.name,
-                              right.deriv + 1))
-    commutator = moving_rest + lowered
-
-    return [(None, swapped), (comm_coeff, commutator)]
-
-
-def _canonical_word(coeff: ScalarExpr, factors: list[Factor],
-                    moving: BaseKind):
-    """Merge the commuting carrier block and the moving tail.
-
-    Returns (signature, coefficient); signature is hashable.
-    """
-    carrier: dict = {}
-    moving_power = 0
-    for f in factors:
-        if f.kind is moving:
-            moving_power += f.exponent.as_int()
-        else:
+    moving, c = _moving_kind(convention), _STEP[convention]
+    state = {((), 0): word.coefficient}
+    for f in reversed(word.factors):
+        if f.kind is not moving:
             key = f.base_key
-            carrier[key] = carrier.get(key, ExponentExpr.number(0)) + f.exponent
-    sig_factors = []
-    for key in sorted(carrier):
-        exp = carrier[key]
-        if exp.is_zero:
+            state = {(_times_base(carrier, key, f.exponent), m): coeff
+                     for (carrier, m), coeff in state.items()}
             continue
-        if key[0] == 0:
-            kind, name, deriv = BaseKind.X, "", 0
-        elif key[0] == 1:
-            kind, name, deriv = BaseKind.FUNC, key[1], key[2]
-        else:
-            kind, name, deriv = BaseKind.P, "", 0
-        sig_factors.append(Factor(kind, exp, name, deriv))
-    if moving_power:
-        mfactor = (p_power if moving is BaseKind.P else x_power)(moving_power)
-        sig_factors.append(mfactor)
-    return tuple(sig_factors), coeff
+        for _ in range(f.exponent.as_int()):
+            stepped: dict = {}
+            for (carrier, m), coeff in state.items():
+                _merge(stepped, (carrier, m + 1), coeff)
+                for s, term in _leibniz(carrier):
+                    _merge(stepped, (term, m), coeff * c * s)
+            state = {k: v for k, v in stepped.items() if not v.is_zero}
+    return state
 
 
-def _order_word(word: OperatorWord, convention: Convention, choose):
-    """Fully order one word; yields (signature, coefficient) pairs."""
-    moving = _moving_kind(convention)
-    pending = [(word.coefficient, list(word.factors))]
-    while pending:
-        coeff, factors = pending.pop()
-        redexes = [i for i in range(len(factors) - 1)
-                   if _is_redex(factors[i], factors[i + 1], moving)]
-        if not redexes:
-            yield _canonical_word(coeff, factors, moving)
-            continue
-        i = choose(redexes)
-        for extra, replacement in _swap_terms(factors[i], factors[i + 1],
-                                              convention):
-            new_coeff = coeff if extra is None else coeff * extra
-            if new_coeff.is_zero:
-                continue
-            pending.append((new_coeff, factors[:i] + replacement
-                            + factors[i + 2:]))
-
-
-def _sorted_normal_words(merged: list[tuple[tuple, ScalarExpr]],
-                         moving: BaseKind) -> tuple[OperatorWord, ...]:
+def normal_order(e: OperatorExpr, convention: Convention) -> NormalForm:
+    """Rewrite to the convention's canonical form by the fold of the
+    module docstring; words sort as the printer sorts them."""
     from .parser import _word_sort_key
-    words = [OperatorWord(coeff, sig) for sig, coeff in merged
-             if not coeff.is_zero]
-    words.sort(key=_word_sort_key)
-    return tuple(words)
-
-
-def normal_order(e: OperatorExpr, convention: Convention,
-                 _choose=None) -> NormalForm:
-    """Rewrite to the convention's canonical form.
-
-    The result is independent of the rewrite order (confluence); the
-    ``_choose`` hook selects which redex to contract next and exists so
-    the test suite can exercise different strategies.
-    """
-    choose = _choose if _choose is not None else (lambda redexes: redexes[0])
-    moving = _moving_kind(convention)
-    accumulated: list[tuple[tuple, ScalarExpr]] = []
-    index: dict[tuple, int] = {}
+    moving_power = (p_power if convention is Convention.COORDINATE
+                    else x_power)
+    merged: dict = {}
     for word in e.words:
         _validate_word(word, convention)
-        for sig, coeff in _order_word(word, convention, choose):
-            if sig in index:
-                pos = index[sig]
-                accumulated[pos] = (sig, accumulated[pos][1] + coeff)
-            else:
-                index[sig] = len(accumulated)
-                accumulated.append((sig, coeff))
-    return NormalForm(convention, _sorted_normal_words(accumulated, moving))
+        for key, coeff in _fold_word(word, convention).items():
+            _merge(merged, key, coeff)
+    words = []
+    for (carrier, m), coeff in merged.items():
+        if coeff.is_zero:
+            continue
+        factors = [Factor(_KINDS[k[0]], s, k[1], k[2]) for k, s in carrier]
+        if m:
+            factors.append(moving_power(m))
+        words.append(OperatorWord(coeff, tuple(factors)))
+    words.sort(key=_word_sort_key)
+    return NormalForm(convention, tuple(words))
 
 
 def hermitian_conjugate(e: OperatorExpr) -> OperatorExpr:

@@ -28,8 +28,6 @@ from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
                         func_power, p_power, x_power)
 from .scalars import ScalarExpr, ScalarError
 
-_KEYWORDS = {"x", "p", "i", "hbar"}
-
 
 @dataclass(frozen=True)
 class SourceSpan:

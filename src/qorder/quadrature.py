@@ -62,24 +62,28 @@ def _half_line(z, cosh, spec: QuadratureSpec):
 def sin_phase_integral(a: float, b: float,
                        spec: QuadratureSpec) -> tuple[float, float]:
     """Phi(a, b) = integral over (0, inf) of sin(a u + b/u) du / u, for
-    finite a and finite b >= 0.
+    finite a and b.
 
     The two sectors u > sqrt(b/|a|) and u < sqrt(b/|a|) are the half-lines
     t > 0 and t < 0.  For a > 0 both are I = integral_0^inf sin(z cosh t)
     dt, so Phi = 2 I (= pi J_0(z)).  For a < 0 they are -I and +I with
     I = integral_0^inf sin(z sinh t) dt, and Phi is the computed I - I
-    with error 2 err(I).  Phi(0, b) is the limit from a > 0, and
-    Phi(a, 0) the limit from b > 0.
+    with error 2 err(I).  For b < 0, Phi(a, b) = -Phi(-a, -b) exactly,
+    with the same error.  Phi(0, b) is the limit from a > 0, and Phi(a, 0)
+    the limit from b > 0.
     """
-    if not (math.isfinite(a) and 0.0 <= b < math.inf):
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("domain error: sin_phase_integral needs finite a "
-                         f"and finite b >= 0, got a={a!r}, b={b!r}")
-    if a == 0.0 and b == 0.0:
-        return 0.0, 0.0
-    q = abs(a) * b
+                         f"and b, got a={a!r}, b={b!r}")
+    q = abs(a * b)
     if q == math.inf:
         raise QuadratureError("quadrature failed: the phase coupling |a| b "
                               f"overflows, got a={a!r}, b={b!r}")
+    if b < 0.0:     # sin(a u + b/u) = -sin(-a u - b/u)
+        value, err = sin_phase_integral(-a, -b, spec)
+        return -value, err
+    if a == 0.0 and b == 0.0:
+        return 0.0, 0.0
     pad = 0.0
     if q < _Q_FLOOR:
         # symmetric-limit convention at a = 0 or b = 0: the two sectors

@@ -1,5 +1,7 @@
-"""Rewrite engine: ordering identities, ambiguity detection, confluence."""
+"""Rewrite engine: ordering identities, ambiguity detection, association
+and the Leibniz ladder."""
 
+import math
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from oracles import X, oracle_equal, scalar_diff
 
 ALPHA = ExponentExpr.param("alpha")
 GAMMA = ExponentExpr.param("gamma")
+S = ExponentExpr.param("s")
 ROWS = {row.id: row for row in IDENTITIES}
 
 
@@ -110,7 +113,7 @@ def test_momentum_convention_rejects_functions():
         normal_order(parse_operator("f(x) * p"), Convention.MOMENTUM)
 
 
-# -- confluence and oracle soundness ------------------------------------------
+# -- random words and the ladder ---------------------------------------------
 
 _FACTOR_POOL = [
     lambda rng: x_power(rng.choice([-2, -1, 1, 2, 3])),
@@ -119,30 +122,62 @@ _FACTOR_POOL = [
 ]
 
 
-def _random_word(rng):
+# the momentum-convention dual: p takes x's exponents, and no f
+_MOMENTUM_POOL = [
+    lambda rng: p_power(rng.choice([-2, -1, 1, 2, 3])),
+    lambda rng: x_power(rng.choice([1, 1, 2, 3])),
+]
+
+
+def _random_word(rng, pool=_FACTOR_POOL):
     n = rng.randint(1, 6)
-    factors = [rng.choice(_FACTOR_POOL)(rng) for _ in range(n)]
+    factors = [rng.choice(pool)(rng) for _ in range(n)]
     coeff = ScalarExpr.number(rng.randint(-3, 3) or 1, rng.randint(1, 3))
     return OperatorExpr.from_factors(*factors, coeff=coeff)
 
 
-def test_randomized_soundness_and_confluence():
-    """Normal ordering agrees with the differential-operator oracle and is
-    independent of the redex selection strategy."""
+def test_association():
+    """NF(A B) = NF(A NF(B)) = NF(NF(A) B) on seeded random pairs."""
     rng = random.Random(20240817)
-    phi = sympy.Function("phi")(X)
-    strategies = [
-        lambda redexes: redexes[0],
-        lambda redexes: redexes[-1],
-        lambda redexes: redexes[len(redexes) // 2],
-    ]
-    for _ in range(200):
-        e = _random_word(rng)
-        nf = normal_order(e, Convention.COORDINATE)
-        assert oracle_equal(e, nf.as_operator_expr(), phi)
-        for choose in strategies[1:]:
-            assert normal_order(e, Convention.COORDINATE,
-                                _choose=choose) == nf
+    for convention, pool in ((Convention.COORDINATE, _FACTOR_POOL),
+                             (Convention.MOMENTUM, _MOMENTUM_POOL)):
+        for _ in range(100):
+            a, b = _random_word(rng, pool), _random_word(rng, pool)
+            whole = normal_order(a * b, convention)
+            nf_a = normal_order(a, convention).as_operator_expr()
+            nf_b = normal_order(b, convention).as_operator_expr()
+            assert normal_order(a * nf_b, convention) == whole
+            assert normal_order(nf_a * b, convention) == whole
+
+
+def _ladder(n, moving_power, carrier_power, c):
+    """{factors: coefficient} of M^n C^s = sum_k C(n,k) c^k (s)_k
+    C^(s-k) M^(n-k), (s)_k the falling factorial, s symbolic."""
+    s = ScalarExpr.param("s")
+    words = {}
+    falling = ScalarExpr(1)
+    for k in range(n + 1):
+        factors = (carrier_power(S - k),)
+        if n > k:
+            factors += (moving_power(n - k),)
+        words[factors] = ScalarExpr(math.comb(n, k)) * c ** k * falling
+        falling = falling * (s - ScalarExpr(k))
+    return words
+
+
+def test_ladder_closed_form():
+    """p^n x^s and its momentum dual x^n p^s, n <= 12, coefficient by
+    coefficient against the generalized Leibniz rule."""
+    ihbar = ScalarExpr.i() * ScalarExpr.hbar()
+    for n in range(13):
+        for convention, word, want in (
+                (Convention.COORDINATE, (p_power(n), x_power(S)),
+                 _ladder(n, p_power, x_power, -ihbar)),
+                (Convention.MOMENTUM, (x_power(n), p_power(S)),
+                 _ladder(n, x_power, p_power, ihbar))):
+            nf = normal_order(OperatorExpr.from_factors(*word), convention)
+            got = {w.factors: w.coefficient for w in nf.words}
+            assert got == want, (n, convention)
 
 
 def test_linearity():

@@ -143,11 +143,13 @@ def test_sin_phase_degenerate_limits():
         value, _ = sin_phase_integral(*args, SPEC)
         assert abs(value - math.pi) <= 1e-5
     assert sin_phase_integral(0.0, 0.0, SPEC) == (0.0, 0.0)
-    with pytest.raises(ValueError, match=r"got a=1\.0, b=-1\.0"):
-        sin_phase_integral(1.0, -1.0, SPEC)
-    # a < 0 is inside the domain: the two sinh sectors cancel
-    value, err = sin_phase_integral(-1.0, 1.0, SPEC)
-    assert abs(value) <= err < 1e-10
+    with pytest.raises(ValueError, match=r"got a=1\.0, b=-inf"):
+        sin_phase_integral(1.0, -math.inf, SPEC)
+    # a < 0 is inside the domain: the two sinh sectors cancel; so is
+    # b < 0, where Phi(1, -1) = -Phi(-1, 1)
+    for args in ((-1.0, 1.0), (1.0, -1.0)):
+        value, err = sin_phase_integral(*args, SPEC)
+        assert abs(value) <= err < 1e-10, args
 
 
 def test_sin_phase_rejects_nonfinite_arguments():
@@ -267,6 +269,22 @@ def test_reconstruction_negative_axis_vanishes():
     for x in (-0.5, -1.0, -2.0):
         rec = fourier_reconstruct_detailed(psi, x, SPEC)
         assert abs(rec.value) <= rec.abs_error < 1e-10
+
+
+def test_reconstruction_at_negative_energy():
+    """psi_E(x) = 2 i N Phi(x, E) and Phi(a, b) = -Phi(-a, -b), so the
+    E = -1 eigenfunction at x is minus the E = +1 one at -x; for x < 0
+    that is -2 pi i J_0(2 sqrt(-x))."""
+    minus = MomentumEigenfunction(E=-1.0, hbar=1.0)
+    plus = MomentumEigenfunction(E=1.0, hbar=1.0)
+    for x in (0.5, -0.5, 2.0, -2.0):
+        rec = fourier_reconstruct_detailed(minus, x, SPEC)
+        mirror = fourier_reconstruct_detailed(plus, -x, SPEC)
+        assert abs(rec.value + mirror.value) <= \
+            rec.abs_error + mirror.abs_error, (x, rec, mirror)
+        if x < 0:
+            want = -2j * math.pi * j0_oracle(2.0 * math.sqrt(-x))
+            assert abs(rec.value - want) <= rec.abs_error < 1e-9, (x, rec)
 
 
 # -- coordinate representation -------------------------------------------------
