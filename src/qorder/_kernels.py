@@ -13,16 +13,17 @@ Mehler-Sonine form of every oscillatory integral in
 :mod:`qorder.quadrature`.  The head [0, first zero] is smooth and is
 summed on two panel counts, whose difference is its error.  Beyond it
 the integral runs lobe by lobe between the closed-form zeros of the
-phase, each lobe with one 24-point Gauss-Legendre panel, and the
-alternating lobe sums are accelerated with an iterated-averaging Euler
-transform: the lobe-wise summation with extrapolation of QUADPACK's QAWF
-(Piessens et al. 1983), with the averaging of Sidi, *Practical
-Extrapolation Methods* (2003).  A block of lobes is one (nodes x lobes)
-array: a few numpy calls for the integrand, a reduction over the node
-axis, ``np.cumsum`` for the partial sums and the averaging applied to
-the whole partial-sum array.  Every sum keeps the left-to-right order of
-a lobe-at-a-time loop, so the results do not depend on the block sizes.
-``osc_tail`` returns Python ``float``/``int``.
+phase, each lobe with one 24-point Gauss-Legendre panel: the lobe-wise
+summation with extrapolation of QUADPACK's QAWF (Piessens et al. 1983).
+The head panels of both counts and the first block of 24 lobes are one
+(nodes x intervals) array, so one numpy evaluation integrates them all.
+The alternating lobe sums are accelerated with Levin's u-transform
+(Levin, Int. J. Comput. Math. B3, 371 (1973); Fessler, Ford & Smith,
+ACM TOMS 9, 346 (1983)), with the remainder estimate omega_k = (k + 1)
+a_k for lobe a_k.  Its coefficients form a constant lower-triangular
+matrix built at import, so the estimates after 5, 6, ... lobes of a
+block are two matrix-vector products.  ``osc_tail`` returns Python
+``float``/``int``.
 """
 
 from __future__ import annotations
@@ -194,13 +195,33 @@ def _j_asymptotic(nu, z):
 # Mehler-Sonine half-line integrals
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] by Newton's
+    method on the Legendre recurrence, the weights made symmetric and
+    summing to 2 as in numpy's leggauss, whose module costs 1.6 MB."""
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        x = x - p1 * (x * x - 1.0) / (n * (x * p1 - p0))
+    w = (1.0 - x * x) / (n * p0) ** 2
+    w = w + w[::-1]
+    return x, 2.0 * w / w.sum()
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(24)
 _NODE_COLUMN = _GL_NODES[:, None]
 _WEIGHT_COLUMN = _GL_WEIGHTS[:, None]
 
-_FIRST_BLOCK = 32      # lobes in the first block
-_MAX_BLOCK = 1024      # lobes in any block
-_EULER_WINDOW = 40     # partial sums averaged for one estimate
+_BLOCK = 24            # lobes in a block
+_FIRST_ESTIMATE = 4    # the first estimate uses lobes 0..4
+
+# Levin u-transform coefficients (-1)^j C(k, j) ((1 + j) / (1 + k))^(k - 1)
+# for k = 4 .. _BLOCK - 1; C(k, j) = 0 above the diagonal
+_LEVIN = np.array([[(-1) ** j * math.comb(k, j) * ((1 + j)/(1 + k)) ** (k - 1)
+                    for j in range(_BLOCK)]
+                   for k in range(_FIRST_ESTIMATE, _BLOCK)])
 
 
 def _zeros(j, z, cosh):
@@ -214,12 +235,11 @@ def _zeros(j, z, cosh):
     return np.arcsinh(j * math.pi / z)
 
 
-def _lobe_integrals(lo, uppers, z, cosh):
-    """One Gauss-Legendre panel per lobe, over [lo, uppers[0]],
-    [uppers[0], uppers[1]], ...; node sums run left to right."""
-    edges = np.concatenate(((lo,), uppers))
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
+def _lobe_integrals(lowers, uppers, z, cosh):
+    """One Gauss-Legendre panel per interval [lowers[i], uppers[i]];
+    node sums run left to right."""
+    mid = 0.5 * (lowers + uppers)
+    half = 0.5 * (uppers - lowers)
     t = mid + half * _NODE_COLUMN
     if cosh:
         # sin(z + phi) with phi = z (cosh t - 1) formed without rounding z
@@ -234,43 +254,14 @@ def _lobe_integrals(lo, uppers, z, cosh):
     return acc * half
 
 
-def _head(z, cosh):
-    """Integral over [0, first zero], where the integrand is smooth, on
-    ceil(first zero) equal panels and on twice as many: (the first zero,
-    the finer sum, the difference of the two sums)."""
-    end = float(_zeros(1, z, cosh))
-    panels = max(math.ceil(end), 1)
-    coarse, fine = (
-        _lobe_integrals(0.0, np.linspace(0.0, end, n + 1)[1:], z, cosh).sum()
-        for n in (panels, 2 * panels))
-    return end, float(fine), abs(float(fine - coarse))
-
-
-def _euler_estimates(history, partials, done):
-    """Iterated-averaging estimates after the partial sums done + 1,
-    done + 2, ... (one per entry of partials), given the last (at most
-    _EULER_WINDOW - 1) sums before them in history.  The estimate after n
-    sums averages the last min(n, _EULER_WINDOW) of them pairwise
-    min(n, _EULER_WINDOW) - 1 times; here w <- (w[:-1] + w[1:]) / 2 runs
-    on the whole array, which does the same additions.  Returns the
-    estimates and the history for the next call."""
-    sums = np.concatenate((history, partials))
-    first = done - history.size      # sums[i] is partial sum first + i + 1
-    last = done + partials.size
-    levels = min(last, _EULER_WINDOW) - 1
-    estimates = np.empty(partials.size)
-    w = sums
-    for level in range(levels + 1):
-        n = level + 1                # the window of sum n starts at sum 1
-        if done < n < _EULER_WINDOW:
-            estimates[n - done - 1] = w[0]
-        if level < levels:
-            w = 0.5 * (w[:-1] + w[1:])
-    if last >= _EULER_WINDOW:
-        n = max(done + 1, _EULER_WINDOW)
-        start = n - _EULER_WINDOW - first
-        estimates[n - done - 1:] = w[start:start + last - n + 1]
-    return estimates, sums[1 - _EULER_WINDOW:]
+def _levin_estimates(sums, lobes):
+    """Levin u-transform estimates k = 4, 5, ... of the limit of the
+    partial sums sums[k] = sums[k - 1] + lobes[k], at most _BLOCK of them,
+    with the remainder estimates omega_k = (k + 1) lobes[k]."""
+    n = lobes.size
+    c = _LEVIN[:max(n - _FIRST_ESTIMATE, 0), :n]
+    omega = np.arange(1.0, n + 1.0) * lobes
+    return (c @ (sums / omega)) / (c @ (1.0 / omega))
 
 
 def osc_tail(z, cosh, max_lobes=2000, tol=1e-12):
@@ -278,44 +269,51 @@ def osc_tail(z, cosh, max_lobes=2000, tol=1e-12):
     sin(z sinh t) (cosh false), for finite z >= 1e-300.
 
     Returns (value, error_estimate, converged_flag, lobes_used) as
-    (float, float, int, int).  The head [0, first zero] is summed on two
-    panel counts; beyond it up to max_lobes alternating lobes are summed
-    and accelerated with the Euler transform.  The first estimate from
-    lobe 6 on whose last two changes are both below tol is accepted; its
-    error is twice the largest of the last three changes, plus the head
+    (float, float, int, int).  The head [0, first zero] is summed on
+    ceil(first zero) panels and on twice as many, in the same numpy
+    evaluation as the first block of lobes; the difference of the two
+    head sums is its error.  Blocks of at most _BLOCK lobes, up to
+    max_lobes in all, are accelerated with the Levin u-transform.  The
+    first estimate whose last three changes are all below tol is
+    accepted; its error is twice the largest of them, plus the head
     error, plus 1e-15 (|value| + 1).
     """
     z, tol = float(z), float(tol)
     max_lobes = max(int(max_lobes), 0)
-    lo, total, head_err = _head(z, cosh)
+    zeros = _zeros(np.arange(1.0, min(_BLOCK, max_lobes) + 2.0), z, cosh)
+    end = float(zeros[0])
+    panels = max(math.ceil(end), 1)
+    coarse = end * (np.arange(panels + 1) / panels)
+    fine = end * (np.arange(2 * panels + 1) / (2 * panels))
+    values = _lobe_integrals(
+        np.concatenate((coarse[:-1], fine[:-1], zeros[:-1])),
+        np.concatenate((coarse[1:], fine[1:], zeros[1:])), z, cosh)
+    total = float(values[panels:3 * panels].sum())
+    head_err = abs(total - float(values[:panels].sum()))
+    lobes = values[3 * panels:]
 
-    value = total
-    last = math.inf                  # the estimate before the block
-    changes = np.full(2, math.inf)   # the last two changes before it
-    history = np.empty(0)
-    done = 0                         # tail lobes so far
-    size = _FIRST_BLOCK
-    while done < max_lobes:
-        count = min(size, max_lobes - done)
-        j = np.arange(done + 2, done + 2 + count, dtype=np.float64)
-        uppers = _zeros(j, z, cosh)
-        partials = np.cumsum(np.concatenate(
-            ((total,), _lobe_integrals(lo, uppers, z, cosh))))[1:]
-        total, lo = partials[-1], uppers[-1]
-        estimates, history = _euler_estimates(history, partials, done)
-        changes = np.concatenate((
-            changes[-2:], np.abs(np.diff(estimates, prepend=last))))
-        n = np.arange(done + 1, done + count + 1)
-        hits = np.flatnonzero((n >= 6) & (changes[1:-1] < tol)
-                              & (changes[2:] < tol))
+    value, changes, done = total, np.empty(0), 0
+    while True:
+        # a later block is the transform of the series left after done
+        # lobes, with total, the sum so far, as its constant
+        sums = total + np.cumsum(lobes)
+        estimates = _levin_estimates(sums, lobes)
+        if estimates.size:
+            value = float(estimates[-1])
+        changes = np.abs(np.diff(estimates))
+        small = changes < tol
+        hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
         if hits.size:
-            i = hits[0]
-            value = float(estimates[i])
+            i = int(hits[0])         # estimate i + 3 has lobes 0..i + 7
+            value = float(estimates[i + 3])
             err = 2.0 * float(changes[i:i + 3].max()) + head_err
-            return (value, err + 1e-15 * (abs(value) + 1.0), 1,
-                    int(done + i + 1))
-        value = last = float(estimates[-1])
-        done += count
-        size = min(2 * size, _MAX_BLOCK)
-    err = 2.0 * float(changes[-3:].max()) + head_err
-    return float(value), err + 1e-15 * (abs(value) + 1.0), 0, max_lobes
+            return value, err + 1e-15 * (abs(value) + 1.0), 1, done + i + 8
+        done += lobes.size
+        if done >= max_lobes:
+            break
+        total = float(sums[-1])
+        zeros = _zeros(np.arange(done + 1.0, min(done + _BLOCK, max_lobes)
+                                 + 2.0), z, cosh)
+        lobes = _lobe_integrals(zeros[:-1], zeros[1:], z, cosh)
+    err = 2.0 * float(changes[-3:].max()) if changes.size >= 3 else math.inf
+    return value, err + head_err + 1e-15 * (abs(value) + 1.0), 0, max_lobes

@@ -22,6 +22,11 @@ def _as_fraction(v) -> Fraction:
     raise ScalarError(f"exponent coefficients must be rational, got {v!r}")
 
 
+def _whole(v: Fraction) -> Fraction | int:
+    """v as an int where it is whole, so scalar coefficients stay ints."""
+    return v.numerator if v.denominator == 1 else v
+
+
 @dataclass(frozen=True)
 class ExponentExpr:
     """const + sum of coeff * param, all coefficients rational."""
@@ -92,22 +97,10 @@ class ExponentExpr:
         return None
 
     def to_scalar(self) -> ScalarExpr:
-        s = ScalarExpr(self.const)
+        s = ScalarExpr(_whole(self.const))
         for name, coeff in self.linear:
-            s = s + ScalarExpr(coeff) * ScalarExpr.param(name)
+            s = s + ScalarExpr(_whole(coeff)) * ScalarExpr.param(name)
         return s
-
-    def eval(self, bindings: dict) -> float:
-        val = float(self.const)
-        for name, coeff in self.linear:
-            try:
-                val += float(coeff) * float(bindings[name])
-            except KeyError:
-                raise ScalarError(f"unbound parameter: {name}") from None
-        return val
-
-    def params(self) -> set[str]:
-        return {name for name, _ in self.linear}
 
     def __str__(self):
         parts = []

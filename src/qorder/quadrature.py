@@ -25,12 +25,13 @@ _Q_FLOOR = 1e-12        # smallest phase coupling q = |a| b evaluated
 
 class QuadratureError(RuntimeError):
     """Raised when the lobe sums fail to converge; carries the partial
-    value and the error estimate."""
+    value, the error estimate and the number of lobes summed."""
 
-    def __init__(self, message, value=None, error=None):
+    def __init__(self, message, value=None, error=None, lobes=None):
         super().__init__(message)
         self.value = value
         self.error = error
+        self.lobes = lobes
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,14 @@ class QuadratureSpec:
 
 
 def _half_line(z, cosh, spec: QuadratureSpec):
-    value, err, converged, _ = osc_tail(z, cosh,
-                                        max_lobes=spec.max_subdivisions,
-                                        tol=1e-12)
+    value, err, converged, lobes = osc_tail(z, cosh,
+                                            max_lobes=spec.max_subdivisions,
+                                            tol=1e-12)
     if not converged:
-        raise QuadratureError("quadrature failed to converge",
-                              value=value, error=err)
+        family = "cosh" if cosh else "sinh"
+        raise QuadratureError(
+            f"quadrature failed to converge: z={z!r}, {family} family, "
+            f"{lobes} lobes", value=value, error=err, lobes=lobes)
     return value, err
 
 

@@ -4,7 +4,6 @@ integral identities, and ODE residuals in both representations."""
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -91,31 +90,8 @@ class ResidualReport:
         return max(self.residuals, default=0.0)
 
     @property
-    def mean_residual(self) -> float:
-        return (sum(self.residuals) / len(self.residuals)
-                if self.residuals else 0.0)
-
-    @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": list(self.grid),
-            "residuals": list(self.residuals),
-            "max": self.max_residual,
-            "mean": self.mean_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    def to_csv(self) -> str:
-        lines = ["point,residual"]
-        lines += [f"{p!r},{r!r}" for p, r in zip(self.grid, self.residuals)]
-        return "\n".join(lines) + "\n"
 
 
 def momentum_ode_residual(psi: MomentumEigenfunction, grid,

@@ -11,7 +11,6 @@ from qorder.scalars import ScalarError, ScalarExpr
 def test_make_and_queries():
     e = ExponentExpr.make(Fraction(1, 2), {"alpha": 1, "gamma": -2})
     assert not e.is_constant
-    assert e.params() == {"alpha", "gamma"}
     assert e.as_int() is None
     assert ExponentExpr.number(3).as_int() == 3
     assert ExponentExpr.number(Fraction(1, 2)).as_int() is None
@@ -39,13 +38,19 @@ def test_hashable():
     assert hash(a + 1) == hash(ExponentExpr.make(1, {"alpha": 1}))
 
 
-def test_to_scalar_and_eval():
+def test_to_scalar():
     e = ExponentExpr.make(Fraction(1, 2), {"alpha": 2})
     assert e.to_scalar() == (ScalarExpr(Fraction(1, 2))
                              + ScalarExpr(2) * ScalarExpr.param("alpha"))
-    assert e.eval({"alpha": Fraction(1, 4)}) == 1.0
-    with pytest.raises(ScalarError, match="unbound parameter"):
-        e.eval({})
+
+
+def test_to_scalar_keeps_whole_values_ints():
+    """Whole exponent coefficients reach the scalar as ints, not as
+    Fraction(n, 1), so the coefficient arithmetic stays on ints."""
+    e = ExponentExpr.make(Fraction(-3), {"s": Fraction(2)})
+    assert e.to_scalar() == ScalarExpr(-3) + ScalarExpr(2) * ScalarExpr.param("s")
+    parts = [part for re_im in e.to_scalar()._num.values() for part in re_im]
+    assert parts and all(type(part) is int for part in parts)
 
 
 def test_rejects_irrational():

@@ -1,6 +1,6 @@
 """The block-evaluated lobe quadrature does not depend on its blocks,
-hands out Python scalars, and reports error bounds that hold against
-mpmath: the Mehler-Sonine half-lines integral_0^inf sin(z cosh t) dt =
+hands out Python scalars, converges in few lobes, and reports error
+bounds that hold against mpmath: the Mehler-Sonine half-lines integral_0^inf sin(z cosh t) dt =
 (pi/2) J_0(z) and integral_0^inf sin(z sinh t) dt = (pi/2) (I_0(z) -
 L_0(z)) (DLMF 10.9.9 and 11.5.4 with nu = 0)."""
 
@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qorder._kernels import _euler_estimates, _lobe_integrals, osc_tail
+from qorder._kernels import _levin_estimates, _lobe_integrals, osc_tail
 
 # z = 2 sqrt(q) over log-spaced q in [1e-6, 1e4], 12 points a decade
 LOG_Z = tuple(2.0 * 10.0 ** (-3.0 + 5.0 * i / 60) for i in range(61))
@@ -63,29 +63,59 @@ def test_huge_arguments_converge_within_a_block():
     assert abs(value - want) <= err
 
 
-def _window_average(partials, n):
-    """The estimate after n sums, one window at a time."""
-    work = list(partials[max(0, n - 40):n])
-    while len(work) > 1:
-        work = [0.5 * (x + y) for x, y in zip(work, work[1:])]
-    return work[0]
+def test_lobe_count_stays_low():
+    """The Levin u-transform accepts within 20 lobes over the whole log
+    grid, in either family."""
+    for cosh in (True, False):
+        for z in LOG_Z:
+            lobes = osc_tail(z, cosh)[3]
+            assert lobes <= 20, (z, cosh, lobes)
 
 
-def test_euler_estimates_do_not_depend_on_the_blocks():
-    """Fed in blocks of any size, the whole-array averaging gives every
-    estimate bit for bit as the window-at-a-time loop does."""
+def test_abrupt_convergence_reports_a_tight_bound():
+    """For the sinh family at large z the lobe sums settle within a few
+    lobes; the reported error stays near the true one, not orders of
+    magnitude above it."""
+    value, err, converged, _ = osc_tail(2000.0, False)
+    assert converged == 1 and err <= 1e-12
+    assert abs(value - half_line_oracle(2000.0, False)) <= err
+
+
+def _direct_levin(sums, terms, k):
+    """The u-transform estimate from sums 0..k, formula by formula:
+    sum_j (-1)^j C(k, j) (1 + j)^(k - 1) S_j / w_j over the same sum with
+    1 / w_j, where w_j = (j + 1) a_j."""
+    num = den = 0.0
+    for j in range(k + 1):
+        weight = (-1) ** j * math.comb(k, j) * (1.0 + j) ** (k - 1)
+        omega = (j + 1) * terms[j]
+        num += weight * sums[j] / omega
+        den += weight / omega
+    return num / den
+
+
+def test_levin_estimates_match_the_formula():
+    """The matrix form gives every estimate k = 4 .. n - 1 of the
+    per-k formula, for a full block and for shorter ones."""
     rng = random.Random(7)
-    partials = np.cumsum([(-1) ** i * rng.uniform(0.5, 1.5) / (i + 1)
-                          for i in range(260)])
-    for sizes in ((1,) * 90, (32, 64, 128, 36), (5, 3, 41, 1, 39, 2, 170)):
-        history, done, got = np.empty(0), 0, []
-        for size in sizes:
-            block = partials[done:done + size]
-            estimates, history = _euler_estimates(history, block, done)
-            got.extend(estimates.tolist())
-            done += block.size
-        want = [_window_average(partials, n) for n in range(1, done + 1)]
-        assert got == want, sizes
+    terms = np.array([(-1) ** i * rng.uniform(0.5, 1.5) / math.sqrt(i + 1)
+                      for i in range(24)])
+    for n in (24, 13, 5, 4):
+        sums = np.cumsum(terms[:n])
+        got = _levin_estimates(sums, terms[:n])
+        want = [_direct_levin(sums, terms, k) for k in range(4, n)]
+        assert len(got) == len(want), n
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * abs(w), (n, g, w)
+
+
+def test_levin_estimates_sum_ln2():
+    """sum (-1)^k / (k + 1) = ln 2, a series whose partial sums are off
+    by 1/(2n): the estimates reach 1e-14 within one block."""
+    k = np.arange(24.0)
+    terms = (-1.0) ** k / (k + 1.0)
+    estimates = _levin_estimates(np.cumsum(terms), terms)
+    assert np.min(np.abs(estimates - math.log(2.0))) <= 1e-14
 
 
 def test_lobe_integrals_do_not_depend_on_the_blocks():
@@ -96,9 +126,9 @@ def test_lobe_integrals_do_not_depend_on_the_blocks():
         z = rng.uniform(0.1, 50.0)
         edges = np.cumsum([rng.uniform(0.0, 0.5)] +
                           [rng.uniform(0.01, 0.3) for _ in range(40)])
-        block = _lobe_integrals(edges[0], edges[1:], z, cosh)
-        alone = [_lobe_integrals(edges[i], edges[i + 1:i + 2], z, cosh)[0]
-                 for i in range(40)]
+        block = _lobe_integrals(edges[:-1], edges[1:], z, cosh)
+        alone = [_lobe_integrals(edges[i:i + 1], edges[i + 1:i + 2], z,
+                                 cosh)[0] for i in range(40)]
         assert block.tolist() == alone, cosh
 
 

@@ -180,6 +180,18 @@ def test_ladder_closed_form():
             assert got == want, (n, convention)
 
 
+def test_parsed_ladder_word_keeps_its_normal_form():
+    """p^12 * x^s as parsed text: the same normal form as the closed form,
+    and whole coefficients held as ints."""
+    nf = coord("p^12 * x^s")
+    ihbar = ScalarExpr.i() * ScalarExpr.hbar()
+    assert {w.factors: w.coefficient for w in nf.words} == _ladder(
+        12, p_power, x_power, -ihbar)
+    for word in nf.words:
+        for re_im in word.coefficient._num.values():
+            assert all(type(part) is int for part in re_im), word
+
+
 def test_linearity():
     rng = random.Random(7)
     for _ in range(20):

@@ -191,7 +191,7 @@ _expressions = st.one_of(_terms, st.tuples(_terms, _terms, _terms).map(
 
 
 def _same(a, b) -> bool:
-    return sympy.cancel(a - b) == 0
+    return sympy.cancel(sympy.together(a - b)) == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,6 +4,8 @@ import json
 import math
 import random
 import re
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -170,10 +172,14 @@ def test_sin_cos_rejects_nonfinite_arguments():
 
 
 def test_quadrature_failure_reports_partial_value():
+    """The failure names z, the family and the lobes summed, and carries
+    the partial value and the lobe count."""
     tight = QuadratureSpec(max_subdivisions=10)
     with pytest.raises(QuadratureError, match="failed to converge") as exc:
         sin_phase_integral(1.0, 1.0, tight)
     assert exc.value.value is not None
+    assert exc.value.lobes == 10
+    assert "z=2.0, cosh family, 10 lobes" in str(exc.value)
 
 
 def test_quadrature_rejects_overflowing_coupling():
@@ -366,18 +372,9 @@ def test_order_fit_insensitive_to_scales():
     assert abs(nu - 1.0) <= 1e-6
 
 
-# -- report serialization ------------------------------------------------------
+# -- reports -----------------------------------------------------------------
 
-def test_residual_report_serialization():
-    report = ResidualReport((1.0, 2.0), (1e-13, 2e-13), 1e-12)
-    data = json.loads(report.to_json())
-    assert data["pass"] is True
-    assert data["max"] == 2e-13
-    assert data["grid"] == [1.0, 2.0]
-    csv = report.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "point,residual"
-    assert len(lines) == 3
+def test_residual_report_rejects_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
         ResidualReport((1.0,), (), 1e-12)
 
@@ -392,15 +389,19 @@ def test_residual_report_nan_fails():
 
 
 def test_kernel_results_are_python_scalars():
-    """numpy scalars from the pure-Python kernel path must not reach the
-    reports: numpy.bool is not JSON serializable, and numpy >= 2 writes
-    np.float64(...) into the CSV cells."""
+    """numpy scalars from the numpy kernel path must not reach the reports:
+    numpy.bool is not JSON serializable, and numpy >= 2 prints
+    np.float64(...) where a number is formatted with repr."""
     result = osc_tail(2.0, True)
     assert [type(v) for v in result] == [float, float, int, int]
     report = verify_integral_identity(1.0, 1.0)
-    assert type(report.passed) is bool
-    assert json.loads(report.to_json())["pass"] is True
-    for line in report.to_csv().strip().split("\n")[1:]:
-        point, residual = line.split(",")
-        float(point)
-        float(residual)
+    assert type(report.passed) is bool and report.passed
+    assert type(report.max_residual) is float
+    assert all(type(v) is float for v in report.grid + report.residuals)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qorder.cli", "verify", "--identity", "eq11",
+         "--format", "json"], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert rows and all(row["pass"] is True for row in rows)
+    assert not any("np." in row["detail"] for row in rows)
