@@ -11,13 +11,10 @@ import math
 from dataclasses import dataclass
 
 from ._kernels import _j_asymptotic, _j_series
+from .errors import BesselDomainError
 
 _SERIES_ASYMPTOTIC_SWITCH = 30.0
 _Z_MAX = 1.0e4
-
-
-class BesselDomainError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 usage/parse error, 3 domain/ordering error,
 4 numeric non-convergence.  Data goes to stdout, diagnostics to stderr.
+The numeric modules are imported only by the commands that compute a
+number, so ``normal-order`` and the symbolic ``verify`` suites start
+without numpy.
 """
 
 from __future__ import annotations
@@ -13,13 +16,10 @@ import sys
 from fractions import Fraction
 
 from . import identities
-from .bessel import BesselDomainError, bessel_j
+from .errors import BesselDomainError, QuadratureError
 from .ordering import Convention, OrderingError, normal_order
 from .parser import ParseError, parse_operator, print_operator
-from .quadrature import QuadratureError, QuadratureSpec
 from .scalars import ScalarError
-from .verification import (MomentumEigenfunction, determine_bessel_order,
-                           fourier_reconstruct_detailed, order_residual)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,7 +96,10 @@ def _cmd_verify(args) -> int:
     if not rows:
         print(f"unknown identity {args.identity!r}", file=sys.stderr)
         return EXIT_USAGE
-    spec = QuadratureSpec.from_env()
+    spec = None
+    if any(isinstance(row, identities.IntegralIdentity) for row in rows):
+        from .quadrature import QuadratureSpec
+        spec = QuadratureSpec.from_env()
     results = []
     for row in rows:
         try:
@@ -139,6 +142,10 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_solve(args) -> int:
+    from .bessel import bessel_j
+    from .quadrature import QuadratureSpec
+    from .verification import (MomentumEigenfunction,
+                               fourier_reconstruct_detailed)
     _check_number("--E", args.E, positive=True)
     _check_number("--hbar", args.hbar, positive=True)
     try:
@@ -197,6 +204,7 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_order_scan(args) -> int:
+    from .verification import determine_bessel_order, order_residual
     values = args.alpha_gamma
     for v in values:
         _check_number("--alpha-gamma", v)

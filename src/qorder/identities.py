@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .operators import OperatorExpr
 from .ordering import Convention, detect_ambiguity, hermitize, normal_order
 from .parser import parse_operator, print_operator
-from .quadrature import QuadratureSpec
-from .verification import verify_integral_identity
+
+if TYPE_CHECKING:
+    from .quadrature import QuadratureSpec
 
 COORDINATE, MOMENTUM = Convention.COORDINATE, Convention.MOMENTUM
 
@@ -101,6 +103,7 @@ def suite(row) -> str:
 def check(row, spec: QuadratureSpec | None = None) -> tuple[bool, str]:
     """(passed, detail) for one row; spec is used by integral rows only."""
     if isinstance(row, IntegralIdentity):
+        from .verification import verify_integral_identity
         report = verify_integral_identity(row.a, row.b, spec)
         return report.passed, f"max residual {report.max_residual:.3e}"
     op = parse_operator(row.text)

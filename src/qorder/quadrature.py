@@ -19,19 +19,9 @@ import os
 from dataclasses import dataclass
 
 from ._kernels import osc_tail
+from .errors import QuadratureError
 
 _Q_FLOOR = 1e-12        # smallest phase coupling q = |a| b evaluated
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the lobe sums fail to converge; carries the partial
-    value, the error estimate and the number of lobes summed."""
-
-    def __init__(self, message, value=None, error=None, lobes=None):
-        super().__init__(message)
-        self.value = value
-        self.error = error
-        self.lobes = lobes
 
 
 @dataclass(frozen=True)
@@ -40,14 +30,21 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.max_subdivisions < 10:
-            raise ValueError("max subdivisions too small")
+            raise ValueError("max_subdivisions, the lobe budget of a "
+                             "quadrature, must be at least 10, got "
+                             f"{self.max_subdivisions!r}")
 
     @classmethod
     def from_env(cls, **overrides) -> "QuadratureSpec":
         env = os.environ.get("QORDER_MAX_SUBDIV")
-        if env is not None and "max_subdivisions" not in overrides:
-            overrides["max_subdivisions"] = int(env)
-        return cls(**overrides)
+        if env is None or "max_subdivisions" in overrides:
+            return cls(**overrides)
+        try:
+            return cls(max_subdivisions=int(env), **overrides)
+        except ValueError:
+            raise ValueError("QORDER_MAX_SUBDIV, the lobe budget of a "
+                             "quadrature, must be an integer >= 10, got "
+                             f"{env!r}") from None
 
 
 def _half_line(z, cosh, spec: QuadratureSpec):

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 
-from qorder.identities import IDENTITIES
+from qorder.identities import IDENTITIES, suite
 
 
 def run_cli(*args, env_extra=None):
@@ -180,6 +180,17 @@ def test_solve_partial_results_on_failure():
     assert any(line.endswith("true") for line in lines[1:])
 
 
+def test_solve_names_a_bad_lobe_budget():
+    for value in ("abc", "5"):
+        proc = run_cli("solve", "--E", "1", "--x-grid", "1:2:3",
+                       env_extra={"QORDER_MAX_SUBDIV": value})
+        assert proc.returncode == 3, value
+        assert proc.stderr == (
+            "error: QORDER_MAX_SUBDIV, the lobe budget of a quadrature, "
+            f"must be an integer >= 10, got {value!r}\n")
+        assert proc.stdout == ""
+
+
 def test_solve_flags_out_of_domain_bessel_row():
     """At x = 4e7 the Bessel argument 2 sqrt(E x) / hbar is above 1e4: that
     row is flagged and the rows before it are unchanged.  NaN is not JSON,
@@ -265,6 +276,53 @@ def test_cli_does_not_import_sympy():
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "x * p\n"
+
+
+def run_probed(*args):
+    """run_cli through qorder.cli.main, plus whether numpy was loaded."""
+    code = ("import sys, qorder.cli; code = qorder.cli.main(sys.argv[1:]); "
+            "sys.stderr.write(str('numpy' in sys.modules)); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=600)
+    return proc, proc.stderr.endswith("True")
+
+
+def test_symbolic_commands_do_not_import_numpy():
+    golden = {"human": "x * p - i * hbar\n",
+              "json": '{"representation": "coordinate", '
+                      '"normal_form": "x * p - i * hbar", "terms": 2}\n',
+              "csv": 'representation,normal_form\n'
+                     'coordinate,"x * p - i * hbar"\n'}
+    for fmt, expected in golden.items():
+        proc, numpy_loaded = run_probed("normal-order", "p * x",
+                                        "--format", fmt)
+        assert (proc.returncode, proc.stdout) == (0, expected), fmt
+        assert not numpy_loaded, fmt
+    for name in ("eq3", "eq4", "eq14", "eq18", "eq19"):
+        proc, numpy_loaded = run_probed("verify", "--identity", name)
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert [line.split(":")[0] for line in proc.stdout.splitlines()] \
+            == [f"PASS {row.id}" for row in IDENTITIES if suite(row) == name]
+        assert not numpy_loaded, name
+
+
+def test_numeric_commands_import_numpy():
+    """The control for the test above: the probe does see numpy."""
+    out = {}
+    for args in (("verify", "--identity", "eq11"),
+                 ("solve", "--E", "1", "--x-grid", "0:1:2"),
+                 ("order-scan", "--alpha-gamma", "0.25", "--format", "json")):
+        proc, numpy_loaded = run_probed(*args)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert proc.stdout == run_cli(*args).stdout
+        assert numpy_loaded, args
+        out[args[0]] = proc.stdout
+    assert [line.split(":")[0] for line in out["verify"].splitlines()] \
+        == [f"PASS {row.id}" for row in IDENTITIES if suite(row) == "eq11"]
+    header, origin, _ = out["solve"].splitlines()
+    assert header == "x,psi_re,psi_im,j0,ratio_re,ratio_im,failed"
+    assert origin.split(",")[0::3] == ["0.0", "1.0", "false"]
+    assert abs(json.loads(out["order-scan"])[0]["fitted_order"] - 1.0) <= 1e-6
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -1,0 +1,60 @@
+"""The package surface: every public name, with the numeric ones
+imported on first access."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import qorder
+from qorder import errors, quadrature, verification
+
+HOMES = ("scalars", "exponents", "operators", "parser", "ordering", "errors",
+         "bessel", "quadrature", "verification")
+
+
+def test_every_public_name_is_its_home_modules_object():
+    homes = [importlib.import_module(f"qorder.{m}") for m in HOMES]
+    for name in qorder.__all__:
+        owners = [m for m in homes if name in vars(m)]
+        assert owners, name
+        assert all(getattr(qorder, name) is vars(m)[name] for m in owners), \
+            name
+
+
+def test_dir_lists_every_public_name():
+    assert set(qorder.__all__) <= set(dir(qorder))
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        qorder.no_such_name
+
+
+def test_numeric_names_load_on_first_access():
+    """In a fresh interpreter: no numpy after ``import qorder``, the
+    numeric name is cached in the module globals after its first access."""
+    code = ("import sys, qorder; "
+            "assert 'numpy' not in sys.modules; "
+            "assert 'bessel_j' not in vars(qorder); "
+            "qorder.bessel_j; "
+            "assert vars(qorder)['bessel_j'] is qorder.bessel.bessel_j; "
+            "assert 'numpy' in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("caught", [
+    qorder.QuadratureError, quadrature.QuadratureError,
+    verification.QuadratureError, errors.QuadratureError],
+    ids=["qorder", "quadrature", "verification", "errors"])
+def test_quadrature_error_is_caught_by_every_import_path(caught):
+    tight = qorder.QuadratureSpec(max_subdivisions=10)
+    try:
+        quadrature.sin_phase_integral(1.0, 1.0, tight)
+    except caught as err:
+        assert err.lobes == 10
+    else:
+        pytest.fail("the lobe budget of 10 did not fail")

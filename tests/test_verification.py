@@ -194,6 +194,10 @@ def test_quadrature_spec_env_override(monkeypatch):
     assert QuadratureSpec.from_env().max_subdivisions == 123
     monkeypatch.delenv("QORDER_MAX_SUBDIV")
     assert QuadratureSpec.from_env().max_subdivisions == 2000
+    with pytest.raises(ValueError,
+                       match="max_subdivisions, the lobe budget of a "
+                             "quadrature, must be at least 10, got 9"):
+        QuadratureSpec(max_subdivisions=9)
 
 
 # -- Fourier reconstruction ----------------------------------------------------
