@@ -191,7 +191,11 @@ _expressions = st.one_of(_terms, st.tuples(_terms, _terms, _terms).map(
 
 
 def _same(a, b) -> bool:
-    return sympy.cancel(sympy.together(a - b)) == 0
+    # a - b is zero iff the numerator of its one-fraction form expands to
+    # 0; sympy.cancel is not used, as it can return an unevaluated sum
+    # such as -1/2 + 1/2 when i is among the generators
+    numerator, _ = sympy.fraction(sympy.together(a - b))
+    return sympy.expand(numerator) == 0
 
 
 @settings(max_examples=100, deadline=None)
