@@ -3,11 +3,12 @@
 Power series (double-double accumulation) for z <= 30, Hankel
 asymptotic expansion beyond; every value carries a rigorous absolute
 error bound from the truncation analysis in :mod:`qorder._kernels`.
+Orders run up to 170, where Gamma(nu + 1) in the series' first term is
+still a finite float.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ._kernels import _j_asymptotic, _j_series
@@ -15,6 +16,7 @@ from .errors import BesselDomainError
 
 _SERIES_ASYMPTOTIC_SWITCH = 30.0
 _Z_MAX = 1.0e4
+_NU_MAX = 170.0         # Gamma(nu + 1) overflows above nu = 170.6
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,11 @@ def _j_any(nu: float, z: float) -> tuple[float, float]:
 
 
 def bessel_j(nu: float, z: float) -> BesselEval:
-    """J_nu(z) for nu >= 0, 0 <= z <= 1e4, with an absolute error bound."""
-    if not (math.isfinite(nu) and nu >= 0.0):
+    """J_nu(z) for 0 <= nu <= 170, 0 <= z <= 1e4, with an absolute error
+    bound."""
+    if not 0.0 <= nu <= _NU_MAX:
         raise BesselDomainError(
-            f"domain error: bessel_j needs finite nu >= 0, got nu={nu!r}")
+            f"domain error: bessel_j needs 0 <= nu <= 170, got nu={nu!r}")
     if not 0.0 <= z <= _Z_MAX:
         raise BesselDomainError(
             f"domain error: bessel_j needs 0 <= z <= 1e4, got z={z!r}")
@@ -68,10 +71,11 @@ def bessel_j_derivatives(nu: float, z: float) -> tuple[float, float, float]:
     J' = (J_{nu-1} - J_{nu+1}) / 2 and J'' = (J_{nu-2} - 2 J_nu
     + J_{nu+2}) / 4, so the second derivative is independent of the
     Bessel ODE and the ODE residual is a genuine consistency check.
+    The order runs up to 168, so that nu + 2 stays within bessel_j's.
     """
-    if not (math.isfinite(nu) and nu >= 0.0):
+    if not 0.0 <= nu <= _NU_MAX - 2.0:
         raise BesselDomainError("domain error: bessel_j_derivatives needs "
-                                f"finite nu >= 0, got nu={nu!r}")
+                                f"0 <= nu <= 168, got nu={nu!r}")
     if not 0.0 <= z <= _Z_MAX:
         raise BesselDomainError(
             "domain error: bessel_j_derivatives needs 0 <= z <= 1e4, "

@@ -1,7 +1,10 @@
 """Command-line front end: ordering, identity verification, and solving.
 
 Exit codes: 0 success, 2 usage/parse error, 3 domain/ordering error,
-4 numeric non-convergence.  Data goes to stdout, diagnostics to stderr.
+4 numeric non-convergence, 141 stdout closed by its reader (as in
+``qorder ... | head -1``; 128 + SIGPIPE, what a shell reports for a
+process that SIGPIPE ended), which ends the run with no message.  Data
+goes to stdout, diagnostics to stderr.
 The numeric modules are imported only by the commands that compute a
 number, so ``normal-order`` and the symbolic ``verify`` suites start
 without numpy.
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -25,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
+EXIT_PIPE = 141
 
 _FORMATS = ("human", "json", "csv")
 
@@ -96,14 +101,10 @@ def _cmd_verify(args) -> int:
     if not rows:
         print(f"unknown identity {args.identity!r}", file=sys.stderr)
         return EXIT_USAGE
-    spec = None
-    if any(isinstance(row, identities.IntegralIdentity) for row in rows):
-        from .quadrature import QuadratureSpec
-        spec = QuadratureSpec.from_env()
     results = []
     for row in rows:
         try:
-            results.append((row.id, *identities.check(row, spec)))
+            results.append((row.id, *identities.check(row)))
         except QuadratureError as err:
             print(f"quadrature error in {identities.suite(row)}: {err}",
                   file=sys.stderr)
@@ -143,7 +144,6 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_solve(args) -> int:
     from .bessel import bessel_j
-    from .quadrature import QuadratureSpec
     from .verification import (MomentumEigenfunction,
                                fourier_reconstruct_detailed)
     _check_number("--E", args.E, positive=True)
@@ -153,13 +153,12 @@ def _cmd_solve(args) -> int:
     except ValueError as err:
         print(f"bad grid: {err}", file=sys.stderr)
         return EXIT_USAGE
-    spec = QuadratureSpec.from_env()
     psi = MomentumEigenfunction(E=args.E, hbar=args.hbar)
     rows = []
     any_failed = False
     for x in grid:
         try:
-            rec = fourier_reconstruct_detailed(psi, x, spec)
+            rec = fourier_reconstruct_detailed(psi, x)
             value, failed = rec.value, False
         except QuadratureError as err:
             value = complex(err.value) if err.value is not None else 0j
@@ -289,7 +288,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except _UsageError as err:
         print(err, file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ParamSymbol, ScalarExpr, ScalarError, _param_name
+from .scalars import ScalarExpr, ScalarError, _param_name
 
 
 def _as_fraction(v) -> Fraction:
@@ -101,17 +101,6 @@ class ExponentExpr:
         for name, coeff in self.linear:
             s = s + ScalarExpr(_whole(coeff)) * ScalarExpr.param(name)
         return s
-
-    def __str__(self):
-        parts = []
-        if self.const or not self.linear:
-            parts.append(str(self.const))
-        for name, coeff in self.linear:
-            if coeff == 1:
-                parts.append(name)
-            else:
-                parts.append(f"{coeff}*{name}")
-        return " + ".join(parts)
 
 
 ZERO_EXP = ExponentExpr.number(0)

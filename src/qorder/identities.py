@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .operators import OperatorExpr
 from .ordering import Convention, detect_ambiguity, hermitize, normal_order
 from .parser import parse_operator, print_operator
-
-if TYPE_CHECKING:
-    from .quadrature import QuadratureSpec
 
 COORDINATE, MOMENTUM = Convention.COORDINATE, Convention.MOMENTUM
 
@@ -100,11 +96,11 @@ def suite(row) -> str:
     return re.match(r"eq\d+", row.id)[0]
 
 
-def check(row, spec: QuadratureSpec | None = None) -> tuple[bool, str]:
-    """(passed, detail) for one row; spec is used by integral rows only."""
+def check(row) -> tuple[bool, str]:
+    """(passed, detail) for one row."""
     if isinstance(row, IntegralIdentity):
         from .verification import verify_integral_identity
-        report = verify_integral_identity(row.a, row.b, spec)
+        report = verify_integral_identity(row.a, row.b)
         return report.passed, f"max residual {report.max_residual:.3e}"
     op = parse_operator(row.text)
     nf = normal_order(hermitize(op) if row.hermitize else op, row.convention)

@@ -9,13 +9,14 @@ the phase becomes z cosh t for a > 0 and -z sinh t for a < 0 (the
 Mehler-Sonine form, DLMF 10.9.9; Watson, *Theory of Bessel Functions*
 6.21), so Phi is a sum of half-line integrals of sin(z cosh t) or
 sin(z sinh t), each integrated lobe by lobe between the closed-form
-zeros of its phase (see :mod:`qorder._kernels`).
+zeros of its phase (see :mod:`qorder._kernels`), all in one block of at
+most 24 lobes.  A half-line integral that does not settle within its
+block raises :class:`QuadratureError`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from ._kernels import osc_tail
@@ -26,37 +27,17 @@ _Q_FLOOR = 1e-12        # smallest phase coupling q = |a| b evaluated
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    max_subdivisions: int = 2000
+    """The lobe budget of a half-line integral.  Its one block holds
+    at most 24 lobes, so the budget caps the block: a budget below 24
+    sums fewer lobes, and one above it sums no more than 24."""
+
+    max_subdivisions: int = 24
 
     def __post_init__(self):
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions, the lobe budget of a "
                              "quadrature, must be at least 10, got "
                              f"{self.max_subdivisions!r}")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "QuadratureSpec":
-        env = os.environ.get("QORDER_MAX_SUBDIV")
-        if env is None or "max_subdivisions" in overrides:
-            return cls(**overrides)
-        try:
-            return cls(max_subdivisions=int(env), **overrides)
-        except ValueError:
-            raise ValueError("QORDER_MAX_SUBDIV, the lobe budget of a "
-                             "quadrature, must be an integer >= 10, got "
-                             f"{env!r}") from None
-
-
-def _half_line(z, cosh, spec: QuadratureSpec):
-    value, err, converged, lobes = osc_tail(z, cosh,
-                                            max_lobes=spec.max_subdivisions,
-                                            tol=1e-12)
-    if not converged:
-        family = "cosh" if cosh else "sinh"
-        raise QuadratureError(
-            f"quadrature failed to converge: z={z!r}, {family} family, "
-            f"{lobes} lobes", value=value, error=err, lobes=lobes)
-    return value, err
 
 
 def sin_phase_integral(a: float, b: float,
@@ -92,8 +73,14 @@ def sin_phase_integral(a: float, b: float,
         # points included, Phi is taken at q = 1e-12, which moves it by
         # less than pi * 1e-12
         q, pad = _Q_FLOOR, 4.0 * _Q_FLOOR
-    value, err = _half_line(2.0 * math.sqrt(q), a >= 0.0, spec)
-    if a >= 0.0:
+    z, cosh = 2.0 * math.sqrt(q), a >= 0.0
+    value, err, converged, lobes = osc_tail(z, cosh, spec.max_subdivisions)
+    if not converged:
+        raise QuadratureError(
+            f"quadrature failed to converge: z={z!r}, "
+            f"{'cosh' if cosh else 'sinh'} family, {lobes} lobes",
+            value=value, error=err, lobes=lobes)
+    if cosh:
         return 2.0 * value, 2.0 * err + pad
     outer, inner = -value, value     # the sectors t > 0 and t < 0
     return outer + inner, 2.0 * err + pad

@@ -5,13 +5,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bessel import bessel_first_zero, bessel_j, bessel_j_derivatives
 from .quadrature import QuadratureError, QuadratureSpec, sin_cos_integral, \
     sin_phase_integral
 
 _EPS = 1e-30
+_SPEC = QuadratureSpec()
+# the largest residual each check passes with
+_MOMENTUM_ODE_TOL = 1e-12
+_INTEGRAL_TOL = 1e-6
+_COORDINATE_ODE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,12 +70,6 @@ class CoordinateEigenfunction:
                              f"finite amplitude, got amplitude="
                              f"{self.amplitude!r}")
 
-    def scaled_argument(self, x: float) -> float:
-        return 2.0 * math.sqrt(self.E * abs(x)) / self.hbar
-
-    def value(self, x: float) -> complex:
-        return self.amplitude * bessel_j(self.nu, self.scaled_argument(x)).value
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -94,8 +93,7 @@ class ResidualReport:
         return self.max_residual <= self.tolerance
 
 
-def momentum_ode_residual(psi: MomentumEigenfunction, grid,
-                          tolerance: float = 1e-12) -> ResidualReport:
+def momentum_ode_residual(psi: MomentumEigenfunction, grid) -> ResidualReport:
     """Relative residual of i hbar p^2 psi' + i hbar p psi = E psi."""
     grid = tuple(float(p) for p in grid)
     if any(p == 0.0 for p in grid):
@@ -107,7 +105,7 @@ def momentum_ode_residual(psi: MomentumEigenfunction, grid,
         ih = complex(0, psi.hbar)
         lhs = ih * p * p * der + ih * p * val - psi.E * val
         residuals.append(abs(lhs) / (abs(psi.E * val) + _EPS))
-    return ResidualReport(grid, tuple(residuals), tolerance)
+    return ResidualReport(grid, tuple(residuals), _MOMENTUM_ODE_TOL)
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ class Reconstruction:
 
 
 def fourier_reconstruct_detailed(psi: MomentumEigenfunction, x: float,
-                                 spec: QuadratureSpec | None = None
+                                 spec: QuadratureSpec = _SPEC
                                  ) -> Reconstruction:
     """psi(x) = integral of psi~(p) exp(i p x / hbar) dp.
 
@@ -131,7 +129,6 @@ def fourier_reconstruct_detailed(psi: MomentumEigenfunction, x: float,
     if not math.isfinite(x):
         raise ValueError("domain error: fourier_reconstruct_detailed needs "
                          f"finite x, got x={x!r}")
-    spec = spec or QuadratureSpec.from_env()
     if psi.N == 0:
         return Reconstruction(0j, 0.0)
     integral, err = sin_phase_integral(x / psi.hbar, psi.E / psi.hbar, spec)
@@ -140,13 +137,12 @@ def fourier_reconstruct_detailed(psi: MomentumEigenfunction, x: float,
 
 
 def fourier_reconstruct(psi: MomentumEigenfunction, x: float,
-                        spec: QuadratureSpec | None = None) -> complex:
+                        spec: QuadratureSpec = _SPEC) -> complex:
     return fourier_reconstruct_detailed(psi, x, spec).value
 
 
 def verify_integral_identity(a: float, b: float,
-                             spec: QuadratureSpec | None = None,
-                             tolerance: float = 1e-6) -> ResidualReport:
+                             spec: QuadratureSpec = _SPEC) -> ResidualReport:
     """Check both mixed-product orderings against (pi/2) J_0(2 (a^2 b^2)^(1/4)).
 
     Report points 1.0 and 2.0 label the sin(au)cos(b/u) and
@@ -155,27 +151,24 @@ def verify_integral_identity(a: float, b: float,
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError("domain error: verify_integral_identity needs "
                          f"finite a, b > 0, got a={a!r}, b={b!r}")
-    spec = spec or QuadratureSpec.from_env()
     target = 0.5 * math.pi * bessel_j(0.0, 2.0 * (a * a * b * b) ** 0.25).value
     v1, _ = sin_cos_integral(a, b, spec, sin_fast=True)
     v2, _ = sin_cos_integral(a, b, spec, sin_fast=False)
     return ResidualReport((1.0, 2.0),
                           (abs(v1 - target), abs(v2 - target)),
-                          tolerance)
+                          _INTEGRAL_TOL)
 
 
 def coordinate_ode_residual(psi: CoordinateEigenfunction, alpha_gamma: float,
-                            E: float, hbar: float, grid,
-                            tolerance: float = 1e-8) -> ResidualReport:
+                            grid) -> ResidualReport:
     """Residual of x^2 psi'' + x psi' - (alpha gamma) psi + (E/hbar^2) x psi,
-    normalized by the largest term magnitude at each point."""
+    with psi's E and hbar, normalized by the largest term magnitude at
+    each point."""
     if not math.isfinite(alpha_gamma):
         raise ValueError("domain error: coordinate_ode_residual needs "
                          f"finite alpha_gamma, got alpha_gamma="
                          f"{alpha_gamma!r}")
-    if not (0.0 < E < math.inf and 0.0 < hbar < math.inf):
-        raise ValueError("domain error: coordinate_ode_residual needs "
-                         f"finite E, hbar > 0, got E={E!r}, hbar={hbar!r}")
+    E, hbar = psi.E, psi.hbar
     grid = tuple(float(x) for x in grid)
     for x in grid:
         if not 0.0 < x < math.inf:
@@ -195,7 +188,7 @@ def coordinate_ode_residual(psi: CoordinateEigenfunction, alpha_gamma: float,
         t_ex = (E / hbar ** 2) * x * amp * j
         scale = max(abs(t_xpp), abs(t_xp), abs(t_ag), abs(t_ex), _EPS)
         residuals.append(abs(t_xpp + t_xp + t_ag + t_ex) / scale)
-    return ResidualReport(grid, tuple(residuals), tolerance)
+    return ResidualReport(grid, tuple(residuals), _COORDINATE_ODE_TOL)
 
 
 ORDER_SCAN_GRID = tuple(0.2 + 0.25 * k for k in range(12))
@@ -204,9 +197,8 @@ ORDER_SCAN_GRID = tuple(0.2 + 0.25 * k for k in range(12))
 def order_residual(nu: float, alpha_gamma: float, E: float,
                    hbar: float) -> float:
     """Largest coordinate ODE residual of J_nu over ORDER_SCAN_GRID."""
-    psi = CoordinateEigenfunction(E, hbar, nu)
-    return coordinate_ode_residual(psi, alpha_gamma, E, hbar,
-                                   ORDER_SCAN_GRID).max_residual
+    return coordinate_ode_residual(CoordinateEigenfunction(E, hbar, nu),
+                                   alpha_gamma, ORDER_SCAN_GRID).max_residual
 
 
 def determine_bessel_order(alpha_gamma: float, E: float = 1.0,
@@ -242,9 +234,8 @@ def determine_bessel_order(alpha_gamma: float, E: float = 1.0,
 
 
 def reconstruction_first_zero(psi: MomentumEigenfunction,
-                              spec: QuadratureSpec | None = None) -> float:
+                              spec: QuadratureSpec = _SPEC) -> float:
     """First positive x where the reconstructed psi(x) vanishes."""
-    spec = spec or QuadratureSpec.from_env()
 
     def f(x):
         val = fourier_reconstruct(psi, x, spec)

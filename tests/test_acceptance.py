@@ -106,7 +106,7 @@ def test_criterion_06_integral_identity():
     ok = len(rows) == 9
     worst = 0.0
     for row in rows:
-        ok = ok and check(row, SPEC)[0]
+        ok = ok and check(row)[0]
         # apart from the engine's Bessel function: mpmath's J_0
         target = float(mpmath.pi / 2 * mpmath.besselj(
             0, 2 * mpmath.sqrt(mpmath.mpf(row.a) * row.b)))

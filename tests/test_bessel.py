@@ -1,8 +1,10 @@
 """Bessel J: exact-rational series oracle, zeros, ODE and recurrence checks."""
 
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from qorder.bessel import (BesselDomainError, bessel_first_zero, bessel_j,
@@ -57,6 +59,25 @@ def test_error_bounds_are_honest():
             got = bessel_j(float(n), float(z))
             assert abs(got.value - oracle) <= got.abs_error_bound
             assert got.abs_error_bound <= 1e-10
+
+
+def test_bounds_hold_against_mpmath_over_every_order():
+    """Seeded draws over the whole accepted order range 0 <= nu <= 170,
+    z log-uniform in [1e-3, 30] (the series branch) and in (30, 1e4]
+    (the asymptotic branch): no error exceeds its reported bound.  The
+    series bound covers the rounding of nu + 1 before Gamma, which
+    dominates for large non-integer orders."""
+    rng = random.Random(1)
+    for lo, hi in ((0.0, 4.0), (4.0, 12.0), (12.0, 40.0), (40.0, 170.0)):
+        for z_lo, z_hi, draws in ((1e-3, 30.0, 300), (30.0, 1e4, 60)):
+            for _ in range(draws):
+                nu = rng.uniform(lo, hi)
+                z = math.exp(rng.uniform(math.log(z_lo), math.log(z_hi)))
+                got = bessel_j(nu, z)
+                with mpmath.workdps(40):
+                    want = mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(z))
+                assert abs(got.value - want) <= got.abs_error_bound, \
+                    (nu, z, got, float(want))
 
 
 def test_large_argument_matches_series_extension():
@@ -142,6 +163,22 @@ def test_domain_errors():
         bessel_j_derivatives(0.5, 0.0)
     with pytest.raises(BesselDomainError, match="domain error"):
         bessel_first_zero(2.5)
+
+
+def test_orders_whose_gamma_overflows_are_rejected():
+    """Gamma(nu + 1) is a finite float up to nu = 170.6; bessel_j takes
+    orders up to 170 and names any order above, and the derivatives,
+    which also evaluate nu + 2, take orders up to 168."""
+    assert bessel_j(150.0, 1.0).value > 0.0
+    assert bessel_j(170.0, 30.0).value > 0.0
+    for nu in (170.5, 171.0, 1e6, math.inf):
+        with pytest.raises(BesselDomainError,
+                           match=f"bessel_j needs 0 <= nu <= 170, got nu={nu!r}"):
+            bessel_j(nu, 1.0)
+    assert bessel_j_derivatives(168.0, 20.0)[0] > 0.0
+    with pytest.raises(BesselDomainError,
+                       match=r"needs 0 <= nu <= 168, got nu=168\.5"):
+        bessel_j_derivatives(168.5, 1.0)
 
 
 def test_derivatives_reject_nonfinite_arguments():

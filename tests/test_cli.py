@@ -171,24 +171,15 @@ def test_solve_bad_grid():
 
 
 def test_solve_partial_results_on_failure():
-    """With the lobe budget strangled, rows are still emitted and flagged."""
-    proc = run_cli("solve", "--E", "1", "--x-grid", "1:2:3",
-                   env_extra={"QORDER_MAX_SUBDIV": "10"})
+    """Rows whose phase coupling |x| E / hbar^2 overflows fail their
+    quadrature; they are still emitted and flagged, and the row before
+    them is computed as usual."""
+    proc = run_cli("solve", "--E", "1e300", "--x-grid=0:1e300:3")
     assert proc.returncode == 4
     lines = proc.stdout.strip().split("\n")
     assert len(lines) == 4
-    assert any(line.endswith("true") for line in lines[1:])
-
-
-def test_solve_names_a_bad_lobe_budget():
-    for value in ("abc", "5"):
-        proc = run_cli("solve", "--E", "1", "--x-grid", "1:2:3",
-                       env_extra={"QORDER_MAX_SUBDIV": value})
-        assert proc.returncode == 3, value
-        assert proc.stderr == (
-            "error: QORDER_MAX_SUBDIV, the lobe budget of a quadrature, "
-            f"must be an integer >= 10, got {value!r}\n")
-        assert proc.stdout == ""
+    assert [line.split(",")[-1] for line in lines[1:]] \
+        == ["false", "true", "true"]
 
 
 def test_solve_flags_out_of_domain_bessel_row():
@@ -276,6 +267,23 @@ def test_cli_does_not_import_sympy():
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "x * p\n"
+
+
+def test_closed_stdout_ends_quietly():
+    """With the read end of stdout closed before the child writes, the
+    run ends with the documented exit code 141, no traceback and no
+    "Exception ignored" line at shutdown."""
+    for args in (("verify", "--identity", "eq11", "--format", "csv"),
+                 ("normal-order", "p * x")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qorder.cli", *args],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=600)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, ""), args
 
 
 def run_probed(*args):

@@ -1,5 +1,6 @@
 """Numeric verification layer: ODE residuals, reconstruction, order fits."""
 
+import itertools
 import json
 import math
 import random
@@ -189,11 +190,14 @@ def test_quadrature_rejects_overflowing_coupling():
             sin_phase_integral(a, 1e300, SPEC)
 
 
-def test_quadrature_spec_env_override(monkeypatch):
-    monkeypatch.setenv("QORDER_MAX_SUBDIV", "123")
-    assert QuadratureSpec.from_env().max_subdivisions == 123
-    monkeypatch.delenv("QORDER_MAX_SUBDIV")
-    assert QuadratureSpec.from_env().max_subdivisions == 2000
+def test_quadrature_spec_budget_is_one_block():
+    """The default budget is the one block of 24 lobes; a larger one sums
+    no more lobes, so it gives the same results bit for bit."""
+    assert QuadratureSpec().max_subdivisions == 24
+    large = QuadratureSpec(max_subdivisions=2000)
+    for a, b in ((1.0, 1.0), (-3.0, 0.5), (2.0, 1e3)):
+        assert sin_phase_integral(a, b, large) \
+            == sin_phase_integral(a, b, SPEC), (a, b)
     with pytest.raises(ValueError,
                        match="max_subdivisions, the lobe budget of a "
                              "quadrature, must be at least 10, got 9"):
@@ -300,10 +304,13 @@ def test_reconstruction_at_negative_energy():
 # -- coordinate representation -------------------------------------------------
 
 def test_coordinate_ode_residual_known_orders():
-    for ag, nu in ((0.0, 0.0), (1.0 / 16.0, 0.5), (0.25, 1.0)):
-        psi = CoordinateEigenfunction(1.0, 1.0, nu)
-        report = coordinate_ode_residual(psi, ag, 1.0, 1.0, ORDER_SCAN_GRID)
-        assert report.max_residual <= 1e-8, (ag, nu, report.max_residual)
+    for (ag, nu), (E, hbar) in itertools.product(
+            ((0.0, 0.0), (1.0 / 16.0, 0.5), (0.25, 1.0)),
+            ((1.0, 1.0), (2.0, 0.5))):
+        psi = CoordinateEigenfunction(E, hbar, nu)
+        report = coordinate_ode_residual(psi, ag, ORDER_SCAN_GRID)
+        assert report.max_residual <= 1e-8, (ag, nu, E, report.max_residual)
+        assert report.tolerance == 1e-8 and report.passed
 
 
 def test_coordinate_ode_printed_index_fails():
@@ -311,7 +318,7 @@ def test_coordinate_ode_printed_index_fails():
     the equation away from the degenerate point."""
     ag = 1.0 / 16.0
     psi = CoordinateEigenfunction(1.0, 1.0, ag)
-    report = coordinate_ode_residual(psi, ag, 1.0, 1.0, ORDER_SCAN_GRID)
+    report = coordinate_ode_residual(psi, ag, ORDER_SCAN_GRID)
     assert report.max_residual > 1e-2
 
 
@@ -327,20 +334,19 @@ def test_coordinate_eigenfunction_rejects_bad_parameters():
 def test_coordinate_singular_grid_rejected():
     psi = CoordinateEigenfunction(1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="domain error"):
-        coordinate_ode_residual(psi, 0.0625, 1.0, 1.0, (0.0, 1.0))
+        coordinate_ode_residual(psi, 0.0625, (0.0, 1.0))
     with pytest.raises(ValueError, match=r"got x=-2\.0"):
-        coordinate_ode_residual(psi, 0.0625, 1.0, 1.0, (1.0, -2.0))
+        coordinate_ode_residual(psi, 0.0625, (1.0, -2.0))
 
 
 def test_coordinate_ode_rejects_bad_parameters():
+    """E and hbar come from psi, which checks them itself (see
+    test_coordinate_eigenfunction_rejects_bad_parameters)."""
     psi = CoordinateEigenfunction(1.0, 1.0, 0.5)
-    for args, shown in (((math.nan, 1.0, 1.0), "alpha_gamma=nan"),
-                        ((0.0625, math.inf, 1.0), r"E=inf, hbar=1\.0"),
-                        ((0.0625, 1.0, math.nan), r"E=1\.0, hbar=nan"),
-                        ((0.0625, -1.0, 1.0), r"E=-1\.0, hbar=1\.0"),
-                        ((0.0625, 1.0, 0.0), r"E=1\.0, hbar=0\.0")):
-        with pytest.raises(ValueError, match="domain error: .*" + shown):
-            coordinate_ode_residual(psi, *args, (1.0, 2.0))
+    for ag in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError,
+                           match=f"domain error: .*alpha_gamma={ag!r}"):
+            coordinate_ode_residual(psi, ag, (1.0, 2.0))
 
 
 def test_determine_bessel_order():
