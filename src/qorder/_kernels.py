@@ -39,6 +39,9 @@ import numpy as np
 # double-double building blocks
 # ---------------------------------------------------------------------------
 
+_SPLIT = 134217729.0   # 2^27 + 1, Dekker's splitting constant
+
+
 def _two_sum(a, b):
     s = a + b
     bb = s - a
@@ -47,37 +50,14 @@ def _two_sum(a, b):
 
 def _two_prod(a, b):
     p = a * b
-    t = 134217729.0 * a
+    t = _SPLIT * a
     ah = t - (t - a)
     al = a - ah
-    t = 134217729.0 * b
+    t = _SPLIT * b
     bh = t - (t - b)
     bl = b - bh
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, err
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    e += xl + yl
-    hi = s + e
-    return hi, e - (hi - s)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    hi = p + e
-    return hi, e - (hi - p)
-
-
-def _dd_div(xh, xl, yh, yl):
-    q1 = xh / yh
-    ph, pl = _dd_mul(q1, 0.0, yh, yl)
-    rh, rl = _dd_add(xh, xl, -ph, -pl)
-    q2 = (rh + rl) / yh
-    hi = q1 + q2
-    return hi, q2 - (hi - q1)
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +73,72 @@ def _j_series(nu, z):
     sh, sl = t0, 0.0
     th, tl = t0, 0.0
     x2h, x2l = _two_prod(x, x)
+    # The loop's double-double steps are written out, as two-sums and
+    # Dekker products (_two_sum, _two_prod) with the operations in
+    # order, the zero low parts included; -x2h is split once.
+    mh, ml = -x2h, -x2l
+    t = _SPLIT * mh
+    mhh = t - (t - mh)
+    mhl = mh - mhh
     max_term = abs(t0)
     trunc = abs(t0)
     k = 0
     while k < 2000:
-        dh, dl = _two_sum(k + 1.0, nu)  # k + 1 + nu
-        dh, dl = _dd_mul(dh, dl, k + 1.0, 0.0)
-        th, tl = _dd_mul(th, tl, -x2h, -x2l)
-        th, tl = _dd_div(th, tl, dh, dl)
-        sh, sl = _dd_add(sh, sl, th, tl)
+        k1 = k + 1.0
+        # (dh, dl) = (k + 1 + nu) * (k + 1)
+        a = k1 + nu
+        bb = a - k1
+        al = (k1 - (a - bb)) + (nu - bb)
+        p = a * k1
+        t = _SPLIT * a
+        ah = t - (t - a)
+        alo = a - ah
+        t = _SPLIT * k1
+        bh = t - (t - k1)
+        blo = k1 - bh
+        err = ((ah * bh - p) + ah * blo + alo * bh) + alo * blo
+        err += a * 0.0 + al * k1
+        dh = p + err
+        dl = err - (dh - p)
+        # (th, tl) = (th, tl) * (-x2h, -x2l)
+        p = th * mh
+        t = _SPLIT * th
+        ah = t - (t - th)
+        alo = th - ah
+        err = ((ah * mhh - p) + ah * mhl + alo * mhh) + alo * mhl
+        err += th * ml + tl * mh
+        th = p + err
+        tl = err - (th - p)
+        # (th, tl) = (th, tl) / (dh, dl): q1 = th / dh, (ph, pl) =
+        # q1 * (dh, dl), (rh, rl) = (th, tl) - (ph, pl), q2 = r / dh
+        q1 = th / dh
+        p = q1 * dh
+        t = _SPLIT * q1
+        ah = t - (t - q1)
+        alo = q1 - ah
+        t = _SPLIT * dh
+        bh = t - (t - dh)
+        blo = dh - bh
+        err = ((ah * bh - p) + ah * blo + alo * bh) + alo * blo
+        err += q1 * dl + 0.0 * dh
+        ph = p + err
+        pl = err - (ph - p)
+        rs = th - ph
+        bb = rs - th
+        err = (th - (rs - bb)) + (-ph - bb)
+        err += tl - pl
+        rh = rs + err
+        rl = err - (rh - rs)
+        q2 = (rh + rl) / dh
+        th = q1 + q2
+        tl = q2 - (th - q1)
+        # (sh, sl) = (sh, sl) + (th, tl)
+        ss = sh + th
+        bb = ss - sh
+        err = (sh - (ss - bb)) + (th - bb)
+        err += sl + tl
+        sh = ss + err
+        sl = err - (sh - ss)
         if abs(sh) > max_term:
             max_term = abs(sh)
         if abs(th) > max_term:

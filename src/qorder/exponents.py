@@ -4,6 +4,11 @@ Every exponent appearing in the supported operator fragment is affine in
 the declared parameters (alpha, 1 - alpha, 1/2, -1, ...).  Keeping this
 restriction explicit makes exponent arithmetic closed and hashable, which
 the rewrite engine relies on for like-term merging.
+
+The constant and each coefficient follow the one rational rule of
+:mod:`qorder.scalars`: an ``int`` where the value is whole, a
+``Fraction`` only where it is not.  Integer exponents, the common case,
+so never touch ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -11,28 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ScalarExpr, ScalarError, _param_name
+from .scalars import ScalarExpr, ScalarError, _param_name, _rational
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
+def _as_fraction(v) -> int | Fraction:
+    """v as an exact rational: an int where it is whole."""
+    if isinstance(v, (int, Fraction)):
+        return _rational(v)
     raise ScalarError(f"exponent coefficients must be rational, got {v!r}")
-
-
-def _whole(v: Fraction) -> Fraction | int:
-    """v as an int where it is whole, so scalar coefficients stay ints."""
-    return v.numerator if v.denominator == 1 else v
 
 
 @dataclass(frozen=True)
 class ExponentExpr:
-    """const + sum of coeff * param, all coefficients rational."""
+    """const + sum of coeff * param, all coefficients rational (an int
+    where whole)."""
 
-    const: Fraction = Fraction(0)
-    linear: tuple[tuple[str, Fraction], ...] = ()
+    const: int | Fraction = 0
+    linear: tuple[tuple[str, int | Fraction], ...] = ()
 
     @classmethod
     def make(cls, const=0, linear=None) -> "ExponentExpr":
@@ -55,7 +55,7 @@ class ExponentExpr:
     def _combine(self, other: "ExponentExpr", sign: int) -> "ExponentExpr":
         terms = dict(self.linear)
         for name, coeff in other.linear:
-            terms[name] = terms.get(name, Fraction(0)) + sign * coeff
+            terms[name] = terms.get(name, 0) + sign * coeff
         return ExponentExpr.make(self.const + sign * other.const, terms)
 
     def __add__(self, other):
@@ -92,14 +92,14 @@ class ExponentExpr:
 
     def as_int(self) -> int | None:
         """Integer value if the exponent is a constant integer, else None."""
-        if self.is_constant and self.const.denominator == 1:
-            return int(self.const)
+        if self.is_constant and type(self.const) is int:
+            return self.const
         return None
 
     def to_scalar(self) -> ScalarExpr:
-        s = ScalarExpr(_whole(self.const))
+        s = ScalarExpr(self.const)
         for name, coeff in self.linear:
-            s = s + ScalarExpr(_whole(coeff)) * ScalarExpr.param(name)
+            s = s + ScalarExpr(coeff) * ScalarExpr.param(name)
         return s
 
 

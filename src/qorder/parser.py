@@ -8,7 +8,8 @@ Grammar (stable public contract)::
     base     := 'x' | 'p' | 'i' | 'hbar' | NUMBER | IDENT
               | IDENT "'"* '(' 'x' ')' | '(' expr ')'
     exponent := ['-'] (NUMBER | IDENT) | '(' affine ')'
-    NUMBER   := decimal integer, optionally followed by '/' integer
+    NUMBER   := [0-9]+, optionally followed by '/' [0-9]+
+    IDENT    := [A-Za-z_][A-Za-z0-9_]*
 
 Multiplication requires an explicit '*' (no juxtaposition) and is
 noncommutative and order-preserving for operator factors; i, hbar,
@@ -20,13 +21,14 @@ combinations of numbers and parameter identifiers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exponents import ExponentExpr
+from .exponents import ONE_EXP, ExponentExpr
 from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
                         func_power, p_power, x_power)
-from .scalars import ScalarExpr, ScalarError
+from .scalars import ScalarExpr, ScalarError, _rational
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,12 @@ class _Token:
     span: SourceSpan
 
 
+# NUMBER and IDENT are ASCII, as in the README grammar and
+# scalars._IDENT_RE: str.isdigit and str.isalpha would take '²' or 'α'
+_TOKEN_RE = re.compile(
+    r"(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|[-+*/^()']")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i, n = 0, len(text)
@@ -75,26 +83,14 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], SourceSpan(i, j)))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], SourceSpan(i, j)))
-            i = j
-            continue
-        if ch in "+-*/^()'":
-            tokens.append(_Token(ch, ch, SourceSpan(i, i + 1)))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1),
-                         ["operator", "identifier", "number"])
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {ch!r}",
+                             SourceSpan(i, i + 1),
+                             ["operator", "identifier", "number"])
+        j = m.end()
+        tokens.append(_Token(m.lastgroup or ch, text[i:j], SourceSpan(i, j)))
+        i = j
     tokens.append(_Token("EOF", "", SourceSpan(n, n)))
     return tokens
 
@@ -125,16 +121,17 @@ class _Parser:
         return self.advance()
 
     # -- numbers --------------------------------------------------------
-    def number(self) -> Fraction:
+    def number(self) -> int | Fraction:
+        """A NUMBER token, optionally over an integer: an int where whole."""
         tok = self.expect("INT", "number")
-        value = Fraction(int(tok.text))
+        value = int(tok.text)
         if self.cur.kind == "/" and self.tokens[self.pos + 1].kind == "INT":
             self.advance()
             den = int(self.advance().text)
             if den == 0:
                 raise ParseError("zero denominator in ratio", tok.span,
                                  ["nonzero integer"])
-            value /= den
+            value = _rational(Fraction(value, den))
         return value
 
     # -- exponents ------------------------------------------------------
@@ -249,9 +246,8 @@ class _Parser:
         single = base.single_factor()
         if single is not None and single[0].is_one:
             factor = single[1]
-            new_exp = (exp if factor.exponent == ExponentExpr.number(1)
-                       else factor.exponent if exp == ExponentExpr.number(1)
-                       else None)
+            new_exp = (exp if factor.exponent == ONE_EXP
+                       else factor.exponent if exp == ONE_EXP else None)
             if new_exp is None:
                 # (x^a)^b with both nontrivial: only constant outer powers
                 n = exp.as_int()
@@ -375,7 +371,7 @@ def _factor_text(f: Factor) -> str:
         base = "p"
     else:
         base = f.name + "'" * f.deriv + "(x)"
-    if f.exponent == ExponentExpr.number(1):
+    if f.exponent == ONE_EXP:
         return base
     return f"{base}^{_exponent_text(f.exponent)}"
 

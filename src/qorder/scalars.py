@@ -7,8 +7,13 @@ them and maps i to -i.
 
 A polynomial is a dict from monomials to Gaussian rationals.  A
 monomial is a tuple of ``(name, exponent)`` pairs sorted by name with no
-zero exponent; a Gaussian rational is a ``(re, im)`` pair of ints or
-Fractions.  Zero coefficients are never stored.  A scalar is
+zero exponent; a Gaussian rational is a ``(re, im)`` pair of rationals.
+One rational rule holds here and in :mod:`qorder.exponents`: every
+constructor stores a whole value as an ``int`` and makes a ``Fraction``
+only for a value that is not whole, so the integer coefficients of
+normal ordering stay on int arithmetic.  (Arithmetic on ``Fraction``
+parts may still leave a whole ``Fraction``, which compares and hashes
+as its int.)  Zero coefficients are never stored.  A scalar is
 a numerator polynomial, whose exponents may be negative (a Laurent
 polynomial), over a denominator that is either 1 or a polynomial that
 
@@ -71,16 +76,27 @@ def _param_name(p) -> str:
 # Gaussian rationals, monomials and polynomials
 # ---------------------------------------------------------------------------
 
+def _rational(v):
+    """v as an int where it is whole."""
+    return v.numerator if v.denominator == 1 else v
+
+
 def _gmul(a, b):
+    """a * b, skipping the products with a zero part: most factors are
+    real or purely imaginary."""
     ar, ai = a
     br, bi = b
+    if not ai:
+        return (ar * br if br else 0, ar * bi if bi else 0)
+    if not ar:
+        return (-ai * bi if bi else 0, ai * br if br else 0)
     return (ar * br - ai * bi, ar * bi + ai * br)
 
 
 def _ginv(a):
     ar, ai = a
     norm = ar * ar + ai * ai
-    return (Fraction(ar, norm), Fraction(-ai, norm))
+    return (_rational(Fraction(ar, norm)), _rational(Fraction(-ai, norm)))
 
 
 def _mono_mul(a, b):
@@ -302,7 +318,7 @@ class ScalarExpr:
         elif isinstance(value, bool):
             raise ScalarError("bool is not a scalar")
         elif isinstance(value, (int, Fraction)):
-            num, den = ({(): (value, 0)} if value else {}), None
+            num, den = ({(): (_rational(value), 0)} if value else {}), None
         elif isinstance(value, ParamSymbol):
             num, den = {((value.name, 1),): _UNIT}, None
         else:

@@ -51,6 +51,20 @@ def test_normal_order_parse_error_span():
     assert "at 6..6" in proc.stderr
 
 
+def test_normal_order_rejects_non_ascii_input():
+    """Digits and letters outside ASCII are parse errors (exit 2) with
+    their span, not an int() failure, a dropped exponent or a bad name."""
+    for text, span in (("x^\u00b2", "2..3"), ("x^\u0661", "2..3"),
+                       ("\u03b1x * p", "0..1")):
+        proc = run_cli("normal-order", text)
+        char = text[int(span[0])]
+        assert proc.returncode == 2, text
+        assert proc.stderr == (f"parse error: unexpected character {char!r}"
+                               f" at {span} (expected operator, identifier,"
+                               " number)\n")
+        assert proc.stdout == ""
+
+
 def test_normal_order_json():
     proc = run_cli("normal-order", "p * x", "--format", "json")
     assert proc.returncode == 0
@@ -235,6 +249,17 @@ def test_order_scan_fits():
     assert rows[0]["coupling_index_residual"] <= 1e-8
     # away from it, using the coupling as the order fails
     assert rows[1]["coupling_index_residual"] > 1e-2
+
+
+def test_order_scan_fits_at_large_energy_scale():
+    """At E / hbar^2 = 8 the residual has several local minima on [0, 2];
+    a golden section over all of it fitted 0.272045 here."""
+    proc = run_cli("order-scan", "--alpha-gamma", "0.1", "--E", "2",
+                   "--hbar", "0.5", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    (row,) = json.loads(proc.stdout)
+    assert abs(row["fitted_order"] - 2.0 * math.sqrt(0.1)) <= 1e-6
+    assert row["fitted_residual"] <= 1e-8
 
 
 def test_order_scan_range_check():

@@ -192,6 +192,23 @@ def test_parsed_ladder_word_keeps_its_normal_form():
             assert all(type(part) is int for part in re_im), word
 
 
+def test_integer_exponent_words_stay_on_ints():
+    """The normal form of a word with integer exponents holds every
+    exponent and every coefficient part as an int, in both conventions."""
+    for text, convention in (("3 * p^3 * x^-2 * f'(x)^2 * p * x^3",
+                              Convention.COORDINATE),
+                             ("-2 * x^3 * p^-2 * x^2 * p",
+                              Convention.MOMENTUM)):
+        nf = normal_order(parse_operator(text), convention)
+        assert len(nf.words) > 3
+        for word in nf.words:
+            for f in word.factors:
+                assert not f.exponent.linear
+                assert type(f.exponent.const) is int, (text, word)
+            for re_im in word.coefficient._num.values():
+                assert all(type(part) is int for part in re_im), (text, word)
+
+
 def test_linearity():
     rng = random.Random(7)
     for _ in range(20):

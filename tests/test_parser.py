@@ -80,6 +80,18 @@ def test_parse_errors_have_spans():
         assert 0 <= err.span.start <= err.span.end <= len(text)
 
 
+def test_non_ascii_digits_and_letters_are_rejected():
+    """NUMBER is [0-9]+ and IDENT [A-Za-z_][A-Za-z0-9_]*, as in the README
+    grammar: a superscript or Arabic-Indic digit and a Greek letter are
+    parse errors at their own character, not numbers or names."""
+    for text, span in (("x^\u00b2", (2, 3)), ("x^\u0661", (2, 3)),
+                       ("\u03b1x * p", (0, 1))):
+        with pytest.raises(ParseError) as exc:
+            parse_operator(text)
+        assert exc.value.message == f"unexpected character {text[span[0]]!r}"
+        assert (exc.value.span.start, exc.value.span.end) == span
+
+
 def test_printer_examples():
     nf = normal_order(parse_operator("p * x"), Convention.COORDINATE)
     assert print_operator(nf.as_operator_expr()) == "x * p - i * hbar"

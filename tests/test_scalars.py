@@ -13,7 +13,7 @@ from qorder.operators import OperatorExpr, p_power, x_power
 from qorder.ordering import Convention, normal_order
 from qorder.parser import parse_operator, print_operator
 from qorder.scalars import (HBAR, I, ONE, ZERO, ParamSymbol, ScalarError,
-                            ScalarExpr)
+                            ScalarExpr, _gmul)
 
 from oracles import scalar_diff, scalar_eval, scalar_subs, symbol, to_sympy
 
@@ -31,6 +31,33 @@ def test_constructors():
         ParamSymbol("i")
     with pytest.raises(ScalarError):
         ParamSymbol("2bad")
+
+
+def test_whole_values_are_stored_as_ints():
+    """Every constructor stores a whole rational as an int, so the
+    coefficient arithmetic of normal ordering stays on ints."""
+    for s in (ScalarExpr(Fraction(4, 2)), ScalarExpr.number(6, 3),
+              parse_operator("4/2 * x").words[0].coefficient,
+              ScalarExpr(Fraction(1, 2)) ** -1):
+        assert s == 2
+        assert [type(part) for part in s._num[()]] == [int, int], s
+
+
+# nonzero, as every stored coefficient is
+_gaussian = st.tuples(*[st.sampled_from([0, 0, 1, -3, Fraction(1, 2),
+                                         Fraction(-5, 3)])] * 2).filter(any)
+
+
+@given(_gaussian, _gaussian)
+def test_gaussian_product_skips_zero_parts(a, b):
+    """_gmul equals the full product (ar br - ai bi, ar bi + ai br); when
+    a is real or purely imaginary, a zero part of the product is the int
+    0, not Fraction(0)."""
+    (ar, ai), (br, bi) = a, b
+    got = _gmul(a, b)
+    assert got == (ar * br - ai * bi, ar * bi + ai * br)
+    if not ar or not ai:
+        assert all(type(part) is int for part in got if not part), got
 
 
 def test_field_axioms():

@@ -363,8 +363,9 @@ def test_determine_bessel_order():
 
 
 def test_order_fit_residual_budget(monkeypatch):
-    """One fit makes at most 60 residual evaluations: a golden section on
-    [0, 2] to 1e-9 needs 47, a scan of the interval would need hundreds."""
+    """One fit makes at most 60 residual evaluations: the 11-point scan
+    and a golden section on a 0.4-wide bracket to 1e-9 need 55, a fine
+    scan of the interval would need hundreds."""
     calls = []
     residual = verification.coordinate_ode_residual
 
@@ -375,6 +376,23 @@ def test_order_fit_residual_budget(monkeypatch):
     monkeypatch.setattr(verification, "coordinate_ode_residual", counting)
     assert abs(determine_bessel_order(0.25) - 1.0) <= 1e-6
     assert 0 < len(calls) <= 60
+
+
+_FIT_SCALES = (0.125, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+@pytest.mark.parametrize("j", range(len(_FIT_SCALES)))
+def test_order_fit_across_energy_scales(j):
+    """The fit finds 2 sqrt(alpha gamma) for E / hbar^2 from 1/8 to 16,
+    where the residual has several local minima on [0, 2] (a golden
+    section over all of [0, 2] fitted 0.99868 for every coupling from
+    0.58 up at 16).  The couplings k / 45, k = 0..45, are dealt out over
+    the scales, every seventh to each, so that the sweep costs 46 fits."""
+    scale = _FIT_SCALES[j]
+    for k in range(j, 46, len(_FIT_SCALES)):
+        ag = k / 45
+        nu = determine_bessel_order(ag, E=scale, hbar=1.0)
+        assert abs(nu - 2.0 * math.sqrt(ag)) <= 1e-6, (scale, ag, nu)
 
 
 def test_order_fit_insensitive_to_scales():
