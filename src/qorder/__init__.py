@@ -45,15 +45,8 @@ __all__ = [
     "AmbiguityReport", "Convention", "NormalForm", "ODEDescriptor",
     "OrderingError", "build_two_sided", "detect_ambiguity",
     "hermitian_conjugate", "hermitize", "momentum_rep_ode", "normal_order",
-    "BesselDomainError", "BesselEval", "bessel_first_zero", "bessel_j",
-    "bessel_j_derivatives",
-    "QuadratureError", "QuadratureSpec", "sin_cos_integral",
-    "sin_phase_integral",
-    "CoordinateEigenfunction", "MomentumEigenfunction", "Reconstruction",
-    "ResidualReport", "coordinate_ode_residual", "determine_bessel_order",
-    "fourier_reconstruct", "fourier_reconstruct_detailed",
-    "momentum_ode_residual", "reconstruction_first_zero",
-    "verify_integral_identity",
+    "BesselDomainError", "QuadratureError",
+    *_LAZY,
 ]
 
 

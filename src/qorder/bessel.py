@@ -21,8 +21,6 @@ _NU_MAX = 170.0         # Gamma(nu + 1) overflows above nu = 170.6
 
 @dataclass(frozen=True)
 class BesselEval:
-    order: float
-    argument: float
     value: float
     abs_error_bound: float
 
@@ -62,7 +60,7 @@ def bessel_j(nu: float, z: float) -> BesselEval:
         raise BesselDomainError(
             f"domain error: bessel_j needs 0 <= z <= 1e4, got z={z!r}")
     value, bound = _j_any(nu, z)
-    return BesselEval(nu, z, value, bound)
+    return BesselEval(value, bound)
 
 
 def bessel_j_derivatives(nu: float, z: float) -> tuple[float, float, float]:

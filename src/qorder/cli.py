@@ -65,20 +65,12 @@ def _check_number(option: str, value: float, positive: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_normal_order(args) -> int:
-    try:
-        expr = parse_operator(args.expr)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    expr = parse_operator(args.expr)
     if args.hermitize_scale:
         expr = expr.scaled(Fraction(1, 2))
     convention = (Convention.COORDINATE if args.rep == "coordinate"
                   else Convention.MOMENTUM)
-    try:
-        nf = normal_order(expr, convention)
-    except OrderingError as err:
-        print(f"ordering error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+    nf = normal_order(expr, convention)
     text = print_operator(nf.as_operator_expr())
     if args.format == "json":
         _emit_json({"representation": args.rep, "normal_form": text,
@@ -99,8 +91,7 @@ def _cmd_verify(args) -> int:
     rows = [row for row in identities.IDENTITIES
             if args.identity in ("all", identities.suite(row))]
     if not rows:
-        print(f"unknown identity {args.identity!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"unknown identity {args.identity!r}")
     results = []
     for row in rows:
         try:
@@ -151,8 +142,7 @@ def _cmd_solve(args) -> int:
     try:
         grid = _parse_grid(args.x_grid)
     except ValueError as err:
-        print(f"bad grid: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"bad grid: {err}") from None
     psi = MomentumEigenfunction(E=args.E, hbar=args.hbar)
     rows = []
     any_failed = False
@@ -210,8 +200,7 @@ def _cmd_order_scan(args) -> int:
     _check_number("--E", args.E, positive=True)
     _check_number("--hbar", args.hbar, positive=True)
     if any(v < 0 or v > 1 for v in values):
-        print("alpha*gamma values must lie in [0, 1]", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("alpha*gamma values must lie in [0, 1]")
     rows = []
     for ag in values:
         fitted = determine_bessel_order(ag, args.E, args.hbar)
@@ -301,7 +290,13 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(err, file=sys.stderr)
         return EXIT_USAGE
-    except (ScalarError, OrderingError, BesselDomainError, ValueError) as err:
+    except ParseError as err:  # a ValueError, so before that clause
+        print(f"parse error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except OrderingError as err:
+        print(f"ordering error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except (ScalarError, BesselDomainError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except QuadratureError as err:

@@ -25,12 +25,14 @@ suite checks them independently for integer exponents.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exponents import ExponentExpr, ONE_EXP
 from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
                         p_power, x_power)
+from .parser import _factor_text, print_operator
 from .scalars import HBAR, I, ParamSymbol, ScalarExpr
 
 
@@ -56,7 +58,6 @@ class NormalForm:
     __hash__ = None
 
     def __str__(self):
-        from .parser import print_operator
         return print_operator(self.as_operator_expr())
 
 
@@ -144,10 +145,38 @@ def _fold_word(word: OperatorWord, convention: Convention) -> dict:
     return state
 
 
+@functools.cache
+def _generic_value(name: str) -> float:
+    """A fixed pseudo-random point in [0.1, 0.8) for a parameter, at which
+    symbolic exponents are compared when words are sorted."""
+    h = 0
+    for ch in name:
+        h = (h * 131 + ord(ch)) % 100003
+    return 0.1 + (h / 100003.0) * 0.7
+
+
+def _word_sort_key(word: OperatorWord):
+    """Highest p degree first, then highest degree in the other factors,
+    then the factors' text."""
+    p_degree = 0.0
+    carrier_degree = 0.0
+    sig_parts = []
+    for f in word.factors:
+        e = f.exponent
+        val = float(e.const) + sum(float(c) * _generic_value(n)
+                                   for n, c in e.linear)
+        if f.kind is BaseKind.P:
+            p_degree += val
+        else:
+            carrier_degree += val
+        sig_parts.append(_factor_text(f))
+    return (-p_degree, -carrier_degree, " ".join(sig_parts))
+
+
 def normal_order(e: OperatorExpr, convention: Convention) -> NormalForm:
     """Rewrite to the convention's canonical form by the fold of the
-    module docstring; words sort as the printer sorts them."""
-    from .parser import _word_sort_key
+    module docstring; its words are sorted by :func:`_word_sort_key`,
+    the order in which they print."""
     moving_power = (p_power if convention is Convention.COORDINATE
                     else x_power)
     merged: dict = {}

@@ -17,6 +17,11 @@ numbers and bare identifiers are scalars and fold into the word
 coefficient.  ``f'(x)`` with k apostrophes denotes the k-th formal
 derivative of the abstract function f.  Exponents must be affine
 combinations of numbers and parameter identifiers.
+
+The printer prints the words of an expression in the order it is given
+them.  Word order is decided once, by :func:`qorder.ordering.normal_order`,
+so a normal form prints in its canonical order and any other expression
+in the order it was built, as ``x + p`` does.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exponents import ONE_EXP, ExponentExpr
-from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
-                        func_power, p_power, x_power)
+from .operators import (BaseKind, Factor, OperatorExpr, func_power,
+                        p_power, x_power)
 from .scalars import ScalarExpr, ScalarError, _rational
 
 
@@ -62,36 +68,34 @@ class ParseError(ValueError):
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str          # IDENT, INT, op chars, EOF
+class _Token(NamedTuple):
+    kind: str          # INT, IDENT, an operator character, or EOF
     text: str
-    span: SourceSpan
+    start: int
+    end: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end)
 
 
 # NUMBER and IDENT are ASCII, as in the README grammar and
-# scalars._IDENT_RE: str.isdigit and str.isalpha would take '²' or 'α'
-_TOKEN_RE = re.compile(
-    r"(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|[-+*/^()']")
+# scalars._IDENT_RE: str.isdigit and str.isalpha would take '²' or 'α'.
+# BAD takes any other non-space character, so finditer skips only \s,
+# the characters for which str.isspace is true.
+_TOKEN_RE = re.compile(r"(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+                       r"|[-+*/^()']|(?P<BAD>\S)")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {ch!r}",
-                             SourceSpan(i, i + 1),
+    for m in _TOKEN_RE.finditer(text):
+        tok = _Token(m.lastgroup or m[0], m[0], m.start(), m.end())
+        if tok.kind == "BAD":
+            raise ParseError(f"unexpected character {tok.text!r}", tok.span,
                              ["operator", "identifier", "number"])
-        j = m.end()
-        tokens.append(_Token(m.lastgroup or ch, text[i:j], SourceSpan(i, j)))
-        i = j
-    tokens.append(_Token("EOF", "", SourceSpan(n, n)))
+        tokens.append(tok)
+    tokens.append(_Token("EOF", "", len(text), len(text)))
     return tokens
 
 
@@ -101,7 +105,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -136,23 +139,11 @@ class _Parser:
 
     # -- exponents ------------------------------------------------------
     def exponent(self) -> ExponentExpr:
-        if self.cur.kind == "(":
-            self.advance()
-            e = self.affine_expr()
-            self.expect(")", "')'")
-            return e
-        neg = False
+        """['-'] (NUMBER | IDENT) | '(' affine ')'."""
         if self.cur.kind == "-":
             self.advance()
-            neg = True
-        if self.cur.kind == "INT":
-            e = ExponentExpr.number(self.number())
-        elif self.cur.kind == "IDENT":
-            e = self.affine_ident()
-        else:
-            raise ParseError("invalid exponent", self.cur.span,
-                             ["number", "identifier", "'('"])
-        return -e if neg else e
+            return -self.affine_atom(paren=False)
+        return self.affine_atom()
 
     def affine_ident(self) -> ExponentExpr:
         tok = self.expect("IDENT", "identifier")
@@ -197,12 +188,12 @@ class _Parser:
                 value = value.scale(Fraction(1) / rhs.const)
         return value.scale(sign) if sign == -1 else value
 
-    def affine_atom(self) -> ExponentExpr:
+    def affine_atom(self, paren: bool = True) -> ExponentExpr:
         if self.cur.kind == "INT":
             return ExponentExpr.number(self.number())
         if self.cur.kind == "IDENT":
             return self.affine_ident()
-        if self.cur.kind == "(":
+        if paren and self.cur.kind == "(":
             self.advance()
             e = self.affine_expr()
             self.expect(")", "')'")
@@ -233,66 +224,61 @@ class _Parser:
         return product
 
     def factor(self) -> OperatorExpr:
-        base, base_span = self.base()
+        base, start, end = self.base()
         if self.cur.kind != "^":
             return base
         caret = self.advance()
-        exp = self.exponent()
-        return self._apply_exponent(base, exp, base_span, caret.span)
+        return self._apply_exponent(base, self.exponent(), start, end, caret)
 
     def _apply_exponent(self, base: OperatorExpr, exp: ExponentExpr,
-                        base_span: SourceSpan,
-                        caret_span: SourceSpan) -> OperatorExpr:
+                        start: int, end: int, caret: _Token) -> OperatorExpr:
+        """A bare factor with exponent 1 takes the exponent, a scalar an
+        integer power, anything else a nonnegative integer power."""
         single = base.single_factor()
-        if single is not None and single[0].is_one:
-            factor = single[1]
-            new_exp = (exp if factor.exponent == ONE_EXP
-                       else factor.exponent if exp == ONE_EXP else None)
-            if new_exp is None:
-                # (x^a)^b with both nontrivial: only constant outer powers
-                n = exp.as_int()
-                if n is None or n < 0:
-                    raise ParseError("unsupported exponent on compound expression",
-                                     caret_span, ["nonnegative integer"])
-                return base.pow(n)
-            return OperatorExpr.from_factors(factor.with_exponent(new_exp))
+        if (single is not None and single[0].is_one
+                and single[1].exponent == ONE_EXP):
+            return OperatorExpr.from_factors(single[1].with_exponent(exp))
+        n = exp.as_int()
         if base.is_scalar:
-            n = exp.as_int()
             if n is None:
                 raise ParseError("scalar base requires an integer exponent",
-                                 caret_span, ["integer"])
+                                 caret.span, ["integer"])
             try:
                 return OperatorExpr.identity(base.scalar_value() ** n)
             except ScalarError as err:
-                raise ParseError(str(err), base_span, []) from None
-        n = exp.as_int()
+                raise ParseError(str(err), SourceSpan(start, end),
+                                 []) from None
         if n is None or n < 0:
             raise ParseError("unsupported exponent on compound expression",
-                             caret_span, ["nonnegative integer"])
+                             caret.span, ["nonnegative integer"])
         return base.pow(n)
 
-    def base(self) -> tuple[OperatorExpr, SourceSpan]:
+    def base(self) -> tuple[OperatorExpr, int, int]:
+        """The base and the span a failed scalar power points at: the
+        whole of '(' expr ')', else the first token."""
         tok = self.cur
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
-            close = self.expect(")", "')'")
-            return inner, SourceSpan(tok.span.start, close.span.end)
+        if tok.kind != "(":
+            return self.atom(), tok.start, tok.end
+        self.advance()
+        inner = self.expr()
+        close = self.expect(")", "')'")
+        return inner, tok.start, close.end
+
+    def atom(self) -> OperatorExpr:
+        tok = self.cur
         if tok.kind == "INT":
-            start = tok.span
-            value = self.number()
-            return OperatorExpr.identity(ScalarExpr(value)), start
+            return OperatorExpr.identity(ScalarExpr(self.number()))
         if tok.kind == "IDENT":
             self.advance()
             name = tok.text
             if name == "x":
-                return OperatorExpr.from_factors(x_power(1)), tok.span
+                return OperatorExpr.from_factors(x_power(1))
             if name == "p":
-                return OperatorExpr.from_factors(p_power(1)), tok.span
+                return OperatorExpr.from_factors(p_power(1))
             if name == "i":
-                return OperatorExpr.identity(ScalarExpr.i()), tok.span
+                return OperatorExpr.identity(ScalarExpr.i())
             if name == "hbar":
-                return OperatorExpr.identity(ScalarExpr.hbar()), tok.span
+                return OperatorExpr.identity(ScalarExpr.hbar())
             deriv = 0
             while self.cur.kind == "'":
                 self.advance()
@@ -304,12 +290,11 @@ class _Parser:
                     raise ParseError("abstract functions take the argument x",
                                      arg.span, ["'x'"])
                 self.expect(")", "')'")
-                return (OperatorExpr.from_factors(func_power(name, 1, deriv)),
-                        tok.span)
+                return OperatorExpr.from_factors(func_power(name, 1, deriv))
             if deriv:
                 raise ParseError("derivative mark requires a function application",
                                  self.cur.span, ["'('"])
-            return OperatorExpr.identity(ScalarExpr.param(name)), tok.span
+            return OperatorExpr.identity(ScalarExpr.param(name))
         raise ParseError(f"unexpected token {tok.text or 'end of input'!r}",
                          tok.span,
                          ["'x'", "'p'", "'i'", "'hbar'", "number",
@@ -399,6 +384,7 @@ def _signed_terms(terms) -> list[tuple[int, list[str]]]:
 
 
 def _sum_text(terms: list[tuple[int, list[str]]]) -> str:
+    """'a - b + c' for signed terms, each term's pieces joined by ' * '."""
     body = ""
     for i, (sign, pieces) in enumerate(terms):
         chunk = " * ".join(pieces)
@@ -406,7 +392,7 @@ def _sum_text(terms: list[tuple[int, list[str]]]) -> str:
             body = ("-" if sign < 0 else "") + chunk
         else:
             body += (" - " if sign < 0 else " + ") + chunk
-    return f"({body})"
+    return body
 
 
 def _coefficient_text(s: ScalarExpr) -> tuple[int, str]:
@@ -419,7 +405,7 @@ def _coefficient_text(s: ScalarExpr) -> tuple[int, str]:
         sign, pieces = num_terms[0]
         text = " * ".join(pieces)
     else:
-        sign, text = 1, _sum_text(num_terms)
+        sign, text = 1, f"({_sum_text(num_terms)})"
     if den is not None:
         inverse = _inverse_text(den)
         text = f"{text} * {inverse}" if text != "1" else inverse
@@ -431,7 +417,7 @@ def _inverse_text(den) -> str:
     parameter in every term and a positive leading term."""
     den_terms = _signed_terms(den)
     if len(den_terms) > 1:
-        return _sum_text(den_terms) + "^-1"
+        return f"({_sum_text(den_terms)})^-1"
     pieces = den_terms[0][1]
     if len(pieces) == 1:  # one parameter: alpha^-2, not alpha^2^-1
         ((name, k),) = den[0][0]
@@ -439,52 +425,16 @@ def _inverse_text(den) -> str:
     return "(" + " * ".join(pieces) + ")^-1"
 
 
-_GENERIC_POINT: dict[str, float] = {}
-
-
-def _generic_value(name: str) -> float:
-    # fixed pseudo-random irrational-ish assignment; deterministic per name
-    try:
-        return _GENERIC_POINT[name]
-    except KeyError:
-        h = 0
-        for ch in name:
-            h = (h * 131 + ord(ch)) % 100003
-        val = 0.1 + (h / 100003.0) * 0.7
-        _GENERIC_POINT[name] = val
-        return val
-
-
-def _word_sort_key(word: OperatorWord):
-    p_degree = 0.0
-    carrier_degree = 0.0
-    sig_parts = []
-    for f in word.factors:
-        e = f.exponent
-        val = float(e.const) + sum(float(c) * _generic_value(n)
-                                   for n, c in e.linear)
-        if f.kind is BaseKind.P:
-            p_degree += val
-        else:
-            carrier_degree += val
-        sig_parts.append(_factor_text(f))
-    return (-p_degree, -carrier_degree, " ".join(sig_parts))
-
-
 def print_operator(e: OperatorExpr) -> str:
-    """Deterministic textual form; re-parses to the same normal form."""
+    """The words of ``e`` in the order given; a normal form prints in the
+    order :func:`qorder.ordering.normal_order` sorts it into, and
+    re-parses to the same normal form."""
     if not e.words:
         return "0"
-    chunks = []
-    for word in sorted(e.words, key=_word_sort_key):
+    terms = []
+    for word in e.words:
         sign, coeff_text = _coefficient_text(word.coefficient)
-        pieces = []
-        if coeff_text != "1" or not word.factors:
-            pieces.append(coeff_text)
+        pieces = [coeff_text] if coeff_text != "1" or not word.factors else []
         pieces.extend(_factor_text(f) for f in word.factors)
-        body = " * ".join(pieces)
-        if not chunks:
-            chunks.append(("-" if sign < 0 else "") + body)
-        else:
-            chunks.append(("- " if sign < 0 else "+ ") + body)
-    return " ".join(chunks)
+        terms.append((sign, pieces))
+    return _sum_text(terms)

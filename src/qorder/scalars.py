@@ -9,11 +9,10 @@ A polynomial is a dict from monomials to Gaussian rationals.  A
 monomial is a tuple of ``(name, exponent)`` pairs sorted by name with no
 zero exponent; a Gaussian rational is a ``(re, im)`` pair of rationals.
 One rational rule holds here and in :mod:`qorder.exponents`: every
-constructor stores a whole value as an ``int`` and makes a ``Fraction``
-only for a value that is not whole, so the integer coefficients of
-normal ordering stay on int arithmetic.  (Arithmetic on ``Fraction``
-parts may still leave a whole ``Fraction``, which compares and hashes
-as its int.)  Zero coefficients are never stored.  A scalar is
+constructor and every sum and product of parts stores a whole value as
+an ``int`` and makes a ``Fraction`` only for a value that is not whole,
+so the integer coefficients of normal ordering stay on int arithmetic.
+Zero coefficients are never stored.  A scalar is
 a numerator polynomial, whose exponents may be negative (a Laurent
 polynomial), over a denominator that is either 1 or a polynomial that
 
@@ -81,16 +80,25 @@ def _rational(v):
     return v.numerator if v.denominator == 1 else v
 
 
+def _whole(c):
+    """A Gaussian rational with its whole parts as ints; int parts, the
+    common case, cost one type test each."""
+    real, imag = c
+    if type(real) is int and type(imag) is int:
+        return c
+    return (_rational(real), _rational(imag))
+
+
 def _gmul(a, b):
     """a * b, skipping the products with a zero part: most factors are
     real or purely imaginary."""
     ar, ai = a
     br, bi = b
     if not ai:
-        return (ar * br if br else 0, ar * bi if bi else 0)
+        return _whole((ar * br if br else 0, ar * bi if bi else 0))
     if not ar:
-        return (-ai * bi if bi else 0, ai * br if br else 0)
-    return (ar * br - ai * bi, ar * bi + ai * br)
+        return _whole((-ai * bi if bi else 0, ai * br if br else 0))
+    return _whole((ar * br - ai * bi, ar * bi + ai * br))
 
 
 def _ginv(a):
@@ -136,6 +144,7 @@ def _accumulate(out, m, c):
         if not c[0] and not c[1]:
             del out[m]
             return
+        c = _whole(c)
     out[m] = c
 
 

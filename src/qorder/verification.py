@@ -50,12 +50,11 @@ class MomentumEigenfunction:
 
 @dataclass(frozen=True)
 class CoordinateEigenfunction:
-    """psi(x) = amplitude * J_nu(2 sqrt(E |x|) / hbar)."""
+    """psi(x) = J_nu(2 sqrt(E |x|) / hbar)."""
 
     E: float
     hbar: float
     nu: float = 0.0
-    amplitude: complex = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.E < math.inf and 0.0 < self.hbar < math.inf):
@@ -65,10 +64,6 @@ class CoordinateEigenfunction:
         if not 0.0 <= self.nu < math.inf:
             raise ValueError("domain error: CoordinateEigenfunction needs "
                              f"finite nu >= 0, got nu={self.nu!r}")
-        if not cmath.isfinite(self.amplitude):
-            raise ValueError("domain error: CoordinateEigenfunction needs a "
-                             f"finite amplitude, got amplitude="
-                             f"{self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -178,14 +173,13 @@ def coordinate_ode_residual(psi: CoordinateEigenfunction, alpha_gamma: float,
     for x in grid:
         z = 2.0 * math.sqrt(E * x) / hbar
         j, jp, jpp = bessel_j_derivatives(psi.nu, z)
-        amp = abs(psi.amplitude) or 1.0
         # chain rule through z = 2 sqrt(E x) / hbar:
-        #   x psi'  = amp * z J' / 2
-        #   x^2 psi'' = amp * (z^2 J'' - z J') / 4
-        t_xpp = amp * (z * z * jpp - z * jp) / 4.0
-        t_xp = amp * z * jp / 2.0
-        t_ag = -alpha_gamma * amp * j
-        t_ex = (E / hbar ** 2) * x * amp * j
+        #   x psi'  = z J' / 2
+        #   x^2 psi'' = (z^2 J'' - z J') / 4
+        t_xpp = (z * z * jpp - z * jp) / 4.0
+        t_xp = z * jp / 2.0
+        t_ag = -alpha_gamma * j
+        t_ex = (E / hbar ** 2) * x * j
         scale = max(abs(t_xpp), abs(t_xp), abs(t_ag), abs(t_ex), _EPS)
         residuals.append(abs(t_xpp + t_xp + t_ag + t_ex) / scale)
     return ResidualReport(grid, tuple(residuals), _COORDINATE_ODE_TOL)

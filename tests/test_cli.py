@@ -6,6 +6,9 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from qorder.cli import main
 from qorder.identities import IDENTITIES, suite
 
 
@@ -104,6 +107,98 @@ def test_verify_unknown_identity():
     proc = run_cli("verify", "--identity", "eq99")
     assert proc.returncode == 2
     assert "unknown identity" in proc.stderr
+
+
+# -- golden bytes of the symbolic commands ---------------------------------------
+
+_TWO_SIDED = "x^a * p * x^(1-a-g) * p * x^g + x^g * p * x^(1-a-g) * p * x^a"
+_EQ3 = (("eq3[x]", "x * p - 1/2 * i * hbar"),
+        ("eq3[x^2]", "x^2 * p - i * hbar * x"),
+        ("eq3[sqrt(x)]", "x^(1/2) * p - 1/4 * i * hbar * x^(-1/2)"),
+        ("eq3[f]", "f(x) * p - 1/2 * i * hbar * f'(x)"))
+_EQ14 = "x * p^2 - i * hbar * p + alpha * gamma * hbar^2 * x^-1"
+
+# (argv, exit code, stdout, stderr), each byte pinned
+_GOLDEN = [
+    (["verify", "--identity", "eq3", "--format", "human"], 0,
+     "".join(f"PASS {name}: {detail}\n" for name, detail in _EQ3), ""),
+    (["verify", "--identity", "eq3", "--format", "json"], 0,
+     '[{"id": "eq3[x]", "pass": true, "detail": "x * p - 1/2 * i * hbar"}, '
+     '{"id": "eq3[x^2]", "pass": true, "detail": "x^2 * p - i * hbar * x"}, '
+     '{"id": "eq3[sqrt(x)]", "pass": true, '
+     '"detail": "x^(1/2) * p - 1/4 * i * hbar * x^(-1/2)"}, '
+     '{"id": "eq3[f]", "pass": true, '
+     '"detail": "f(x) * p - 1/2 * i * hbar * f\'(x)"}]\n', ""),
+    (["verify", "--identity", "eq3", "--format", "csv"], 0,
+     "id,pass,detail\n"
+     + "".join(f'{name},true,"{detail}"\n' for name, detail in _EQ3), ""),
+    (["verify", "--identity", "eq4", "--format", "human"], 0,
+     "PASS eq4: p^2 * x + i * hbar * p\n", ""),
+    (["verify", "--identity", "eq4", "--format", "json"], 0,
+     '[{"id": "eq4", "pass": true, "detail": "p^2 * x + i * hbar * p"}]\n',
+     ""),
+    (["verify", "--identity", "eq4", "--format", "csv"], 0,
+     'id,pass,detail\neq4,true,"p^2 * x + i * hbar * p"\n', ""),
+    (["verify", "--identity", "eq14", "--format", "human"], 0,
+     f"PASS eq14: {_EQ14}\nPASS eq14[gamma=0]: x * p^2 - i * hbar * p\n", ""),
+    (["verify", "--identity", "eq14", "--format", "json"], 0,
+     f'[{{"id": "eq14", "pass": true, "detail": "{_EQ14}"}}, '
+     '{"id": "eq14[gamma=0]", "pass": true, '
+     '"detail": "x * p^2 - i * hbar * p"}]\n', ""),
+    (["verify", "--identity", "eq14", "--format", "csv"], 0,
+     f'id,pass,detail\neq14,true,"{_EQ14}"\n'
+     'eq14[gamma=0],true,"x * p^2 - i * hbar * p"\n', ""),
+    (["verify", "--identity", "eq18", "--format", "human"], 0,
+     "PASS eq18a: symbolic proof\nPASS eq18b: symbolic proof\n", ""),
+    (["verify", "--identity", "eq18", "--format", "json"], 0,
+     '[{"id": "eq18a", "pass": true, "detail": "symbolic proof"}, '
+     '{"id": "eq18b", "pass": true, "detail": "symbolic proof"}]\n', ""),
+    (["verify", "--identity", "eq18", "--format", "csv"], 0,
+     'id,pass,detail\neq18a,true,"symbolic proof"\n'
+     'eq18b,true,"symbolic proof"\n', ""),
+    (["verify", "--identity", "eq19", "--format", "human"], 0,
+     "PASS eq19: symbolic proof, alpha fully symbolic\n", ""),
+    (["verify", "--identity", "eq19", "--format", "json"], 0,
+     '[{"id": "eq19", "pass": true, '
+     '"detail": "symbolic proof, alpha fully symbolic"}]\n', ""),
+    (["verify", "--identity", "eq19", "--format", "csv"], 0,
+     'id,pass,detail\neq19,true,"symbolic proof, alpha fully symbolic"\n', ""),
+    (["normal-order", "p * x", "--rep", "coordinate", "--format", "human"], 0,
+     "x * p - i * hbar\n", ""),
+    (["normal-order", "p * x", "--rep", "coordinate", "--format", "json"], 0,
+     '{"representation": "coordinate", "normal_form": "x * p - i * hbar", '
+     '"terms": 2}\n', ""),
+    (["normal-order", "p * x", "--rep", "coordinate", "--format", "csv"], 0,
+     'representation,normal_form\ncoordinate,"x * p - i * hbar"\n', ""),
+    (["normal-order", _TWO_SIDED, "--hermitize-scale", "--format", "human"], 0,
+     "x * p^2 - i * hbar * p + a * g * hbar^2 * x^-1\n", ""),
+    (["normal-order", _TWO_SIDED, "--hermitize-scale", "--format", "json"], 0,
+     '{"representation": "coordinate", '
+     '"normal_form": "x * p^2 - i * hbar * p + a * g * hbar^2 * x^-1", '
+     '"terms": 3}\n', ""),
+    (["normal-order", _TWO_SIDED, "--hermitize-scale", "--format", "csv"], 0,
+     'representation,normal_form\n'
+     'coordinate,"x * p^2 - i * hbar * p + a * g * hbar^2 * x^-1"\n', ""),
+    (["normal-order", "x^(1/2"], 2, "",
+     "parse error: unexpected token 'end of input' at 6..6"
+     " (expected ')')\n"),
+    (["normal-order", "x^-(a)"], 2, "",
+     "parse error: invalid exponent at 3..4"
+     " (expected number, identifier, '(')\n"),
+    (["normal-order", "2^(1/2)"], 2, "",
+     "parse error: scalar base requires an integer exponent at 1..2"
+     " (expected integer)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", _GOLDEN,
+                         ids=[" ".join(case[0]) for case in _GOLDEN])
+def test_symbolic_commands_golden_bytes(capsys, argv, code, stdout, stderr):
+    """The exact stdout, stderr and exit code of the symbolic commands: the
+    README's normal-order examples, each symbolic verify suite, and three
+    malformed inputs, in process."""
+    assert main(argv) == code
+    assert capsys.readouterr() == (stdout, stderr)
 
 
 # -- solve ------------------------------------------------------------------------

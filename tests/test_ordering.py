@@ -209,6 +209,17 @@ def test_integer_exponent_words_stay_on_ints():
                 assert all(type(part) is int for part in re_im), (text, word)
 
 
+def test_hermitized_words_stay_on_ints():
+    """hermitize halves each word; the halves that merge into a whole
+    coefficient are stored as ints, not as whole Fractions."""
+    nf = normal_order(hermitize(parse_operator("x^2 * p^2 * x")),
+                      Convention.COORDINATE)
+    assert str(nf) == "x^3 * p^2 - 3 * i * hbar * x^2 * p - hbar^2 * x"
+    for word in nf.words:
+        for re_im in word.coefficient._num.values():
+            assert all(type(part) is int for part in re_im), word
+
+
 def test_linearity():
     rng = random.Random(7)
     for _ in range(20):

@@ -56,6 +56,7 @@ def test_zeroth_power_of_compound_scalar():
 def test_compound_power_expands():
     assert _coord_nf("(x * p)^2") == _coord_nf("x * p * x * p")
     assert _coord_nf("(x + p)^2") == _coord_nf("x^2 + x * p + p * x + p^2")
+    assert _coord_nf("(x^a)^2") == _coord_nf("x^a * x^a")
 
 
 def test_parse_errors_have_spans():
@@ -70,6 +71,7 @@ def test_parse_errors_have_spans():
         ("@", "unexpected character"),
         ("", "end of input"),
         ("1/0 * x", "zero denominator"),
+        ("(x^2)^a", "unsupported exponent on compound expression"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError) as exc:
@@ -78,6 +80,16 @@ def test_parse_errors_have_spans():
         assert fragment in str(err)
         assert err.message
         assert 0 <= err.span.start <= err.span.end <= len(text)
+
+
+def test_minus_takes_no_parenthesized_exponent():
+    """exponent := ['-'] (NUMBER | IDENT) | '(' affine ')', so x^-(a) is
+    rejected at its '(' and x^(-a) is the way to write it."""
+    with pytest.raises(ParseError) as exc:
+        parse_operator("x^-(a)")
+    assert str(exc.value) == ("invalid exponent at 3..4"
+                              " (expected number, identifier, '(')")
+    assert _coord_nf("x^(-a)") == _coord_nf("x^-a")
 
 
 def test_non_ascii_digits_and_letters_are_rejected():
@@ -98,6 +110,9 @@ def test_printer_examples():
     nf = normal_order(parse_operator("p * x^2"), Convention.COORDINATE)
     assert print_operator(nf.as_operator_expr()) == "x^2 * p - 2 * i * hbar * x"
     assert print_operator(parse_operator("0 * x")) == "0"
+    # only normal_order sorts words; the printer keeps the order given
+    assert print_operator(parse_operator("x + p")) == "x + p"
+    assert print_operator(_coord_nf("x + p").as_operator_expr()) == "p + x"
 
 
 def test_printer_symbolic_exponents():

@@ -50,14 +50,13 @@ _gaussian = st.tuples(*[st.sampled_from([0, 0, 1, -3, Fraction(1, 2),
 
 @given(_gaussian, _gaussian)
 def test_gaussian_product_skips_zero_parts(a, b):
-    """_gmul equals the full product (ar br - ai bi, ar bi + ai br); when
-    a is real or purely imaginary, a zero part of the product is the int
-    0, not Fraction(0)."""
+    """_gmul equals the full product (ar br - ai bi, ar bi + ai br), and
+    every whole part of it, zero included, is an int, not a Fraction."""
     (ar, ai), (br, bi) = a, b
     got = _gmul(a, b)
     assert got == (ar * br - ai * bi, ar * bi + ai * br)
-    if not ar or not ai:
-        assert all(type(part) is int for part in got if not part), got
+    assert all(type(part) is int for part in got if part.denominator == 1), \
+        got
 
 
 def test_field_axioms():

@@ -251,10 +251,6 @@ def test_eigenfunctions_reject_nonfinite_normalizations():
         with pytest.raises(ValueError,
                            match="domain error: .*N=" + re.escape(repr(N))):
             MomentumEigenfunction(1.0, 1.0, N=N)
-    with pytest.raises(ValueError, match=r"domain error: .*amplitude=nan"):
-        CoordinateEigenfunction(1.0, 1.0, amplitude=math.nan)
-    with pytest.raises(ValueError, match=r"amplitude=\(1\+infj\)"):
-        CoordinateEigenfunction(1.0, 1.0, amplitude=complex(1.0, math.inf))
 
 
 def test_reconstruction_scales_with_normalization():
