@@ -2,8 +2,10 @@
 verification layer (Bessel evaluation, oscillatory quadrature, Fourier
 reconstruction, ODE residuals).
 
-The numeric layer and numpy under it are imported on the first access
-to one of its names, so symbolic work never loads them.
+The numeric layer is imported on the first access to one of its names,
+so symbolic work never loads it.  Of its modules only ``quadrature`` and
+``verification`` load numpy; ``bessel`` and ``coordinate`` (the Bessel
+side and the order fit) are plain Python.
 """
 
 import importlib
@@ -26,9 +28,9 @@ _LAZY = {name: module for module, names in (
                 "bessel_j_derivatives")),
     ("quadrature", ("QuadratureSpec", "sin_cos_integral",
                     "sin_phase_integral")),
-    ("verification", ("CoordinateEigenfunction", "MomentumEigenfunction",
-                      "Reconstruction", "ResidualReport",
-                      "coordinate_ode_residual", "determine_bessel_order",
+    ("coordinate", ("CoordinateEigenfunction", "ResidualReport",
+                    "coordinate_ode_residual", "determine_bessel_order")),
+    ("verification", ("MomentumEigenfunction", "Reconstruction",
                       "fourier_reconstruct", "fourier_reconstruct_detailed",
                       "momentum_ode_residual", "reconstruction_first_zero",
                       "verify_integral_identity")),

@@ -1,12 +1,4 @@
-"""Hot numeric kernels: compensated Bessel series and oscillatory lobes.
-
-Everything here is plain Python over floats, except the lobe quadrature,
-which is numpy code that evaluates its whole block of lobes at once.
-
-The Bessel power series is accumulated in double-double arithmetic
-(error-free transforms, Dekker splitting) so that the reported absolute
-error bound stays below 1e-10 through the series/asymptotic switch at
-z = 30 despite the alternating-term cancellation.
+"""The oscillatory lobe kernel, the one numpy code in the package.
 
 ``osc_tail`` integrates sin(z cosh t) or sin(z sinh t) over t >= 0, the
 Mehler-Sonine form of every oscillatory integral in
@@ -34,166 +26,6 @@ import math
 
 import numpy as np
 
-
-# ---------------------------------------------------------------------------
-# double-double building blocks
-# ---------------------------------------------------------------------------
-
-_SPLIT = 134217729.0   # 2^27 + 1, Dekker's splitting constant
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-# ---------------------------------------------------------------------------
-# Bessel J: power series (z <= 30) and Hankel asymptotics (z > 30)
-# ---------------------------------------------------------------------------
-
-def _j_series(nu, z):
-    """(value, rigorous abs error bound) for nu > -1 with Gamma(nu + 1)
-    finite; the value also for any other non-integer nu."""
-    x = 0.5 * z
-    s, e = _two_sum(nu, 1.0)  # nu + 1 = s + e exactly
-    t0 = x ** nu / math.gamma(s)
-    sh, sl = t0, 0.0
-    th, tl = t0, 0.0
-    x2h, x2l = _two_prod(x, x)
-    # The loop's double-double steps are written out, as two-sums and
-    # Dekker products (_two_sum, _two_prod) with the operations in
-    # order, the zero low parts included; -x2h is split once.
-    mh, ml = -x2h, -x2l
-    t = _SPLIT * mh
-    mhh = t - (t - mh)
-    mhl = mh - mhh
-    max_term = abs(t0)
-    trunc = abs(t0)
-    k = 0
-    while k < 2000:
-        k1 = k + 1.0
-        # (dh, dl) = (k + 1 + nu) * (k + 1)
-        a = k1 + nu
-        bb = a - k1
-        al = (k1 - (a - bb)) + (nu - bb)
-        p = a * k1
-        t = _SPLIT * a
-        ah = t - (t - a)
-        alo = a - ah
-        t = _SPLIT * k1
-        bh = t - (t - k1)
-        blo = k1 - bh
-        err = ((ah * bh - p) + ah * blo + alo * bh) + alo * blo
-        err += a * 0.0 + al * k1
-        dh = p + err
-        dl = err - (dh - p)
-        # (th, tl) = (th, tl) * (-x2h, -x2l)
-        p = th * mh
-        t = _SPLIT * th
-        ah = t - (t - th)
-        alo = th - ah
-        err = ((ah * mhh - p) + ah * mhl + alo * mhh) + alo * mhl
-        err += th * ml + tl * mh
-        th = p + err
-        tl = err - (th - p)
-        # (th, tl) = (th, tl) / (dh, dl): q1 = th / dh, (ph, pl) =
-        # q1 * (dh, dl), (rh, rl) = (th, tl) - (ph, pl), q2 = r / dh
-        q1 = th / dh
-        p = q1 * dh
-        t = _SPLIT * q1
-        ah = t - (t - q1)
-        alo = q1 - ah
-        t = _SPLIT * dh
-        bh = t - (t - dh)
-        blo = dh - bh
-        err = ((ah * bh - p) + ah * blo + alo * bh) + alo * blo
-        err += q1 * dl + 0.0 * dh
-        ph = p + err
-        pl = err - (ph - p)
-        rs = th - ph
-        bb = rs - th
-        err = (th - (rs - bb)) + (-ph - bb)
-        err += tl - pl
-        rh = rs + err
-        rl = err - (rh - rs)
-        q2 = (rh + rl) / dh
-        th = q1 + q2
-        tl = q2 - (th - q1)
-        # (sh, sl) = (sh, sl) + (th, tl)
-        ss = sh + th
-        bb = ss - sh
-        err = (sh - (ss - bb)) + (th - bb)
-        err += sl + tl
-        sh = ss + err
-        sl = err - (sh - ss)
-        if abs(sh) > max_term:
-            max_term = abs(sh)
-        if abs(th) > max_term:
-            max_term = abs(th)
-        trunc = abs(th)
-        k += 1
-        if k > x and trunc < 1e-17 * (abs(sh) + 1e-300) and trunc < 1e-25:
-            break
-    value = sh + sl
-    # truncation (geometric tail, ratio < 1/2 once k > x), double-double
-    # rounding, and the relative error of t0: float pow, math.gamma and
-    # the division (5e-15), plus Gamma(s + e) / Gamma(s) - 1 ~ psi(s) e
-    # for the argument s that nu + 1 rounds to, where
-    # |psi(s)| < |ln s| + 1 / s for s > 0
-    rel = 5e-15 + ((abs(math.log(s)) + 1.0 / s) * abs(e) if e else 0.0)
-    bound = 2.0 * trunc + k * 1e-31 * max_term + rel * abs(value) + 1e-300
-    return value, bound
-
-
-def _j_asymptotic(nu, z):
-    """Hankel expansion for large z: (value, abs error bound)."""
-    mu = 4.0 * nu * nu
-    p = 1.0
-    q = 0.0
-    term = 1.0
-    sign = 1.0
-    last = abs(term)
-    bound_term = 0.0
-    k = 0
-    while k < 60:
-        term = term * (mu - (2.0 * k + 1.0) ** 2) / (8.0 * z * (k + 1.0))
-        k += 1
-        if abs(term) >= last and k > 2:
-            bound_term = abs(term)
-            break
-        last = abs(term)
-        if k % 2 == 1:
-            q += sign * term
-        else:
-            sign = -sign
-            p += sign * term
-        if abs(term) < 1e-18:
-            bound_term = abs(term)
-            break
-        bound_term = abs(term)
-    omega = z - (0.5 * nu + 0.25) * math.pi
-    amp = math.sqrt(2.0 / (math.pi * z))
-    value = amp * (p * math.cos(omega) - q * math.sin(omega))
-    bound = amp * (bound_term + (abs(z) + abs(nu) + 1.0) * 4e-16) + 1e-300
-    return value, bound
-
-
-# ---------------------------------------------------------------------------
-# Mehler-Sonine half-line integrals
-# ---------------------------------------------------------------------------
 
 def _gauss_legendre(n):
     """n-point Gauss-Legendre nodes and weights on [-1, 1] by Newton's

@@ -7,7 +7,9 @@ process that SIGPIPE ended), which ends the run with no message.  Data
 goes to stdout, diagnostics to stderr.
 The numeric modules are imported only by the commands that compute a
 number, so ``normal-order`` and the symbolic ``verify`` suites start
-without numpy.
+without numpy.  ``order-scan`` needs only the plain-Python Bessel side
+and order fit and starts without numpy too; ``solve`` and ``verify``'s
+``eq11`` rows load it for the lobe quadrature.
 """
 
 from __future__ import annotations
@@ -193,7 +195,9 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_order_scan(args) -> int:
-    from .verification import determine_bessel_order, order_residual
+    from .bessel import _Z_MAX
+    from .coordinate import (ORDER_SCAN_GRID, determine_bessel_order,
+                             order_residual)
     values = args.alpha_gamma
     for v in values:
         _check_number("--alpha-gamma", v)
@@ -201,6 +205,14 @@ def _cmd_order_scan(args) -> int:
     _check_number("--hbar", args.hbar, positive=True)
     if any(v < 0 or v > 1 for v in values):
         raise _UsageError("alpha*gamma values must lie in [0, 1]")
+    x_top = ORDER_SCAN_GRID[-1]
+    z_top = 2.0 * math.sqrt(args.E * x_top) / args.hbar
+    if not z_top <= _Z_MAX:
+        raise ValueError(
+            f"domain error: --E {args.E!r} and --hbar {args.hbar!r} put the "
+            f"Bessel argument 2*sqrt(E*x)/hbar at {z_top:g} for x = "
+            f"{x_top:g} of the order-scan grid, above its limit of "
+            f"{_Z_MAX:g}")
     rows = []
     for ag in values:
         fitted = determine_bessel_order(ag, args.E, args.hbar)

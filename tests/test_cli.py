@@ -378,6 +378,28 @@ def test_order_scan_rejects_nonpositive_energy_as_usage_error():
             f"{option} must be positive, got {float(value)!r}\n"
 
 
+def test_order_scan_names_the_options_beyond_the_bessel_range():
+    """2 sqrt(E x) / hbar above 1e4 on the grid is a domain error that
+    names --E and --hbar, not only the Bessel argument."""
+    proc = run_cli("order-scan", "--alpha-gamma", "0.25", "--E", "1e8",
+                   "--hbar", "0.5")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: domain error: --E 100000000.0 and --hbar 0.5 put the Bessel "
+        "argument 2*sqrt(E*x)/hbar at 68702.3 for x = 2.95 of the order-scan "
+        "grid, above its limit of 10000\n")
+
+
+def test_order_scan_names_a_coupling_it_cannot_form():
+    """At E = 1e-300 the J_nu on the grid underflow; the fit stops with a
+    domain error that names E and hbar, not a silent order."""
+    proc = run_cli("order-scan", "--alpha-gamma", "0.25", "--E", "1e-300")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: domain error: the order fit "
+                                  "cannot form the coupling")
+    assert "E=1e-300, hbar=1.0" in proc.stderr
+
+
 def test_cli_does_not_import_sympy():
     code = ("import sys, qorder.cli; "
             "qorder.cli.main(['normal-order', 'x * p']); "
@@ -434,12 +456,31 @@ def test_symbolic_commands_do_not_import_numpy():
         assert not numpy_loaded, name
 
 
+def test_order_scan_does_not_import_numpy():
+    """order-scan needs only the plain-Python Bessel side and order fit;
+    its rows are the ones run_cli prints, in every format."""
+    for fmt in ("human", "json", "csv"):
+        args = ("order-scan", "--alpha-gamma", "0", "0.25", "--format", fmt)
+        proc, numpy_loaded = run_probed(*args)
+        assert proc.returncode == 0, (fmt, proc.stderr)
+        assert proc.stdout == run_cli(*args).stdout
+        assert not numpy_loaded, fmt
+        if fmt == "human":
+            assert [line.split(",")[0] for line in proc.stdout.splitlines()] \
+                == ["alpha*gamma=0: fitted order 0.000000",
+                    "alpha*gamma=0.25: fitted order 1.000000"]
+        elif fmt == "json":
+            fitted = [row["fitted_order"] for row in json.loads(proc.stdout)]
+            assert abs(fitted[0]) <= 1e-6 and abs(fitted[1] - 1.0) <= 1e-6
+        else:
+            assert len(proc.stdout.splitlines()) == 3
+
+
 def test_numeric_commands_import_numpy():
-    """The control for the test above: the probe does see numpy."""
+    """The control for the tests above: the probe does see numpy."""
     out = {}
     for args in (("verify", "--identity", "eq11"),
-                 ("solve", "--E", "1", "--x-grid", "0:1:2"),
-                 ("order-scan", "--alpha-gamma", "0.25", "--format", "json")):
+                 ("solve", "--E", "1", "--x-grid", "0:1:2")):
         proc, numpy_loaded = run_probed(*args)
         assert proc.returncode == 0, (args, proc.stderr)
         assert proc.stdout == run_cli(*args).stdout
@@ -450,7 +491,6 @@ def test_numeric_commands_import_numpy():
     header, origin, _ = out["solve"].splitlines()
     assert header == "x,psi_re,psi_im,j0,ratio_re,ratio_im,failed"
     assert origin.split(",")[0::3] == ["0.0", "1.0", "false"]
-    assert abs(json.loads(out["order-scan"])[0]["fitted_order"] - 1.0) <= 1e-6
 
 
 # -- determinism ---------------------------------------------------------------------

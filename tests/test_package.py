@@ -11,7 +11,7 @@ import qorder
 from qorder import errors, quadrature, verification
 
 HOMES = ("scalars", "exponents", "operators", "parser", "ordering", "errors",
-         "bessel", "quadrature", "verification")
+         "bessel", "coordinate", "quadrature", "verification")
 
 
 def test_every_public_name_is_its_home_modules_object():
@@ -34,12 +34,17 @@ def test_unknown_attribute_is_named():
 
 def test_numeric_names_load_on_first_access():
     """In a fresh interpreter: no numpy after ``import qorder``, the
-    numeric name is cached in the module globals after its first access."""
+    numeric name is cached in the module globals after its first access.
+    The Bessel side and the order fit are plain Python; the quadrature
+    loads numpy."""
     code = ("import sys, qorder; "
             "assert 'numpy' not in sys.modules; "
             "assert 'bessel_j' not in vars(qorder); "
             "qorder.bessel_j; "
             "assert vars(qorder)['bessel_j'] is qorder.bessel.bessel_j; "
+            "qorder.determine_bessel_order; "
+            "assert 'numpy' not in sys.modules; "
+            "qorder.sin_phase_integral; "
             "assert 'numpy' in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=600)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qorder import verification
+from qorder import coordinate
 from qorder._kernels import osc_tail
 from qorder.bessel import bessel_first_zero, bessel_j
 from qorder.quadrature import QuadratureError, QuadratureSpec, \
@@ -345,50 +345,106 @@ def test_coordinate_ode_rejects_bad_parameters():
             coordinate_ode_residual(psi, ag, (1.0, 2.0))
 
 
+_FIT_COUPLINGS = (0.0, 1e-12, 1e-8, 1e-4, 0.01, 0.05, 0.1, 1.0 / 16.0, 0.25,
+                  0.5, 0.9, 1.0)
+
+
 def test_determine_bessel_order():
     """The fit finds 2 sqrt(alpha gamma) over the whole coupling range,
     including small couplings, where the residual is not unimodal."""
     assert order_residual(0.012, 0.01, 1.0, 1.0) > \
         order_residual(0.0, 0.01, 1.0, 1.0)
-    for ag in (0.0, 1e-12, 1e-8, 1e-4, 0.01, 0.05, 0.1, 1.0 / 16.0, 0.25,
-               0.5, 0.9, 1.0):
+    for ag in _FIT_COUPLINGS:
         nu = determine_bessel_order(ag)
         assert abs(nu - 2.0 * math.sqrt(ag)) <= 1e-6, ag
     with pytest.raises(ValueError, match="domain error"):
         determine_bessel_order(1.5)
 
 
-def test_order_fit_residual_budget(monkeypatch):
-    """One fit makes at most 60 residual evaluations: the 11-point scan
-    and a golden section on a 0.4-wide bracket to 1e-9 need 55, a fine
-    scan of the interval would need hundreds."""
+def _counting_fit(monkeypatch):
+    """A fit at hbar = 1 that returns (order, coupling evaluations)."""
     calls = []
-    residual = verification.coordinate_ode_residual
+    coupling = coordinate.order_coupling
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return residual(*args, **kwargs)
+        return coupling(*args)
 
-    monkeypatch.setattr(verification, "coordinate_ode_residual", counting)
-    assert abs(determine_bessel_order(0.25) - 1.0) <= 1e-6
-    assert 0 < len(calls) <= 60
+    def fit(ag, E):
+        before = len(calls)
+        return determine_bessel_order(ag, E=E, hbar=1.0), len(calls) - before
+
+    monkeypatch.setattr(coordinate, "order_coupling", counting)
+    return fit
 
 
-_FIT_SCALES = (0.125, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+def test_order_fit_residual_budget(monkeypatch):
+    """One fit makes at most 60 evaluations of the least-squares
+    coupling, and no ODE residual: Brent's method on [0, 2] to a bracket
+    of 1e-10 takes at most 29 over the couplings above, where bisection
+    would take 35 and a fine scan of the interval hundreds."""
+    residuals = []
+    monkeypatch.setattr(coordinate, "coordinate_ode_residual",
+                        lambda *args: residuals.append(args))
+    fit = _counting_fit(monkeypatch)
+    counts = []
+    for ag in _FIT_COUPLINGS:
+        nu, evaluations = fit(ag, 1.0)
+        assert abs(nu - 2.0 * math.sqrt(ag)) <= 1e-6, ag
+        counts.append(evaluations)
+    assert 0 < max(counts) <= 60 and not residuals
+
+
+# E / hbar^2 over the range the README states, up to 1e6: below
+# ~1.5e-155 the coupling underflows, and near the top of the Bessel
+# range, 2 sqrt(2.95 E) / hbar = 1e4, the fit drifts to ~1e-5
+_FIT_SCALES = (1e-150, 1e-20, 1e-5, 0.125, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0,
+               64.0, 256.0, 4096.0, 65536.0, 1e6)
 
 
 @pytest.mark.parametrize("j", range(len(_FIT_SCALES)))
-def test_order_fit_across_energy_scales(j):
-    """The fit finds 2 sqrt(alpha gamma) for E / hbar^2 from 1/8 to 16,
-    where the residual has several local minima on [0, 2] (a golden
-    section over all of [0, 2] fitted 0.99868 for every coupling from
-    0.58 up at 16).  The couplings k / 45, k = 0..45, are dealt out over
-    the scales, every seventh to each, so that the sweep costs 46 fits."""
+def test_order_fit_across_energy_scales(j, monkeypatch):
+    """The fit finds 2 sqrt(alpha gamma) for E / hbar^2 from 1e-150 to
+    1e6, within 60 coupling evaluations; from 8 up the residual has
+    several local minima on [0, 2], where minimizing it went wrong.  The
+    couplings k / 45, k = 0..45, are dealt out over the scales, every
+    fifteenth to each, so that the sweep costs 46 fits."""
     scale = _FIT_SCALES[j]
+    fit = _counting_fit(monkeypatch)
     for k in range(j, 46, len(_FIT_SCALES)):
         ag = k / 45
-        nu = determine_bessel_order(ag, E=scale, hbar=1.0)
+        nu, evaluations = fit(ag, scale)
         assert abs(nu - 2.0 * math.sqrt(ag)) <= 1e-6, (scale, ag, nu)
+        assert evaluations <= 60, (scale, ag, evaluations)
+
+
+def test_order_fit_at_the_ends_of_the_scale_range():
+    """Every coupling k / 45 fits at the smallest and largest E / hbar^2
+    of the sweep: near underflow of J_2, and where the rounding of the
+    coupling is largest."""
+    for scale in (_FIT_SCALES[0], _FIT_SCALES[-1]):
+        for k in range(46):
+            nu = determine_bessel_order(k / 45, E=scale)
+            assert abs(nu - 2.0 * math.sqrt(k / 45)) <= 1e-6, (scale, k)
+
+
+def test_order_fit_where_a_residual_scan_missed():
+    """The scan-then-golden fit of the residual landed on a wrong local
+    minimum, 1.154755, at E = 64, hbar = 1, alpha gamma = 4/9."""
+    assert abs(determine_bessel_order(4.0 / 9.0, E=64.0) - 4.0 / 3.0) <= 1e-6
+
+
+def test_order_fit_names_a_coupling_it_cannot_form():
+    """At E = 1e-300 every J_2 on the grid underflows, so the coupling at
+    nu = 2 has no denominator: a domain error that names E and hbar,
+    not a ZeroDivisionError or a silent fit."""
+    with pytest.raises(ValueError,
+                       match=r"domain error: .*nu=2\.0 for E=1e-300, "
+                             r"hbar=1\.0: the sum of J_nu\^2 .* is 0\.0"):
+        determine_bessel_order(0.25, E=1e-300)
+    with pytest.raises(ValueError, match=r"E=1e-155, hbar=1\.0"):
+        coordinate.order_coupling(2.0, 1e-155, 1.0)
+    assert abs(coordinate.order_coupling(1.0, 1e-150, 1.0) - 0.25) <= 1e-9
 
 
 def test_order_fit_insensitive_to_scales():
