@@ -14,14 +14,21 @@ all.  The alternating lobe sums are accelerated with Levin's u-transform
 ACM TOMS 9, 346 (1983)), with the remainder estimate omega_k = (k + 1)
 a_k for lobe a_k.  Its coefficients form a constant lower-triangular
 matrix built at import, so the estimates after 5, 6, ... lobes are two
-matrix-vector products.  The transform settles within the block for
-every z from 2e-6 to 1e154 (at most 19 lobes in tests/test_kernels.py);
-a call that does not is reported unconverged, never continued.
+matrix-vector products.  Everything else that does not depend on z is
+built at import too (the Gauss-Legendre nodes and weights, the indices
+of the zeros and of the remainder estimates), and the head grid of each
+panel count is cached on first use; all of them are read-only.  A call
+makes one integrand evaluation and one pair of Levin matrix-vector
+products, and scans the at most 20 estimates for the stop in plain
+Python.  The transform settles within the block for every z from 2e-6
+to 1e154 (at most 19 lobes in tests/test_kernels.py); a call that does
+not is reported unconverged, never continued.
 ``osc_tail`` returns Python ``float``/``int``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -55,6 +62,24 @@ _TOL = 1e-12           # accepted once three changes in a row are below it
 _LEVIN = np.array([[(-1) ** j * math.comb(k, j) * ((1 + j)/(1 + k)) ** (k - 1)
                     for j in range(_BLOCK)]
                    for k in range(_FIRST_ESTIMATE, _BLOCK)])
+_OMEGA_INDEX = np.arange(1.0, _BLOCK + 1.0)     # omega_k = (k + 1) a_k
+_ZERO_INDEX = np.arange(1.0, _BLOCK + 2.0)      # zeros 1 .. _BLOCK + 1
+for _array in (_NODE_COLUMN, _WEIGHT_COLUMN, _LEVIN, _OMEGA_INDEX,
+               _ZERO_INDEX):
+    _array.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=None)
+def _head_fractions(panels):
+    """The head grid of a panel count as fractions of the first zero,
+    arange(panels + 1) / panels and arange(2 panels + 1) / (2 panels),
+    read-only.  The count is ceil(first zero), at most 693 for
+    z >= 1e-300 and at most 15 for the q >= 1e-12 of
+    :mod:`qorder.quadrature`, so the cache stays small."""
+    coarse = np.arange(panels + 1) / panels
+    fine = np.arange(2 * panels + 1) / (2 * panels)
+    coarse.flags.writeable = fine.flags.writeable = False
+    return coarse, fine
 
 
 def _zeros(j, z, cosh):
@@ -93,8 +118,27 @@ def _levin_estimates(sums, lobes):
     with the remainder estimates omega_k = (k + 1) lobes[k]."""
     n = lobes.size
     c = _LEVIN[:max(n - _FIRST_ESTIMATE, 0), :n]
-    omega = np.arange(1.0, n + 1.0) * lobes
+    omega = _OMEGA_INDEX[:n] * lobes
     return (c @ (sums / omega)) / (c @ (1.0 / omega))
+
+
+def _levin_stop(estimates):
+    """(k, largest change) for the first estimate k, of a list of Levin
+    estimates, whose last three changes are all below _TOL.  Without
+    one, (None, largest of the last three changes): infinite with fewer
+    than three changes, and NaN where one of them is NaN."""
+    changes = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
+    run = 0
+    for i, change in enumerate(changes):
+        run = run + 1 if change < _TOL else 0
+        if run == 3:
+            return i + 1, max(changes[i - 2:i + 1])
+    last = changes[-3:]
+    if len(last) < 3:
+        return None, math.inf
+    if any(map(math.isnan, last)):
+        return None, math.nan
+    return None, max(last)
 
 
 def osc_tail(z, cosh, max_lobes=_BLOCK):
@@ -113,12 +157,13 @@ def osc_tail(z, cosh, max_lobes=_BLOCK):
     unconverged, with the lobes of the block as its count.
     """
     z = float(z)
-    zeros = _zeros(np.arange(1.0, min(_BLOCK, max(int(max_lobes), 0)) + 2.0),
+    zeros = _zeros(_ZERO_INDEX[:min(_BLOCK, max(int(max_lobes), 0)) + 1],
                    z, cosh)
     end = float(zeros[0])
     panels = max(math.ceil(end), 1)
-    coarse = end * (np.arange(panels + 1) / panels)
-    fine = end * (np.arange(2 * panels + 1) / (2 * panels))
+    coarse_fractions, fine_fractions = _head_fractions(panels)
+    coarse = end * coarse_fractions
+    fine = end * fine_fractions
     values = _lobe_integrals(
         np.concatenate((coarse[:-1], fine[:-1], zeros[:-1])),
         np.concatenate((coarse[1:], fine[1:], zeros[1:])), z, cosh)
@@ -126,15 +171,12 @@ def osc_tail(z, cosh, max_lobes=_BLOCK):
     head_err = abs(head - float(values[:panels].sum()))
     lobes = values[3 * panels:]
 
-    estimates = _levin_estimates(head + np.cumsum(lobes), lobes)
-    changes = np.abs(np.diff(estimates))
-    small = changes < _TOL
-    hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
-    if hits.size:
-        i = int(hits[0])         # estimate i + 3 has lobes 0..i + 7
-        value = float(estimates[i + 3])
-        err = 2.0 * float(changes[i:i + 3].max()) + head_err
-        return value, err + 1e-15 * (abs(value) + 1.0), 1, i + 8
-    value = float(estimates[-1]) if estimates.size else head
-    err = 2.0 * float(changes[-3:].max()) if changes.size >= 3 else math.inf
-    return value, err + head_err + 1e-15 * (abs(value) + 1.0), 0, lobes.size
+    estimates = _levin_estimates(head + np.cumsum(lobes), lobes).tolist()
+    accepted, change = _levin_stop(estimates)
+    if accepted is None:
+        value = estimates[-1] if estimates else head
+        converged, used = 0, lobes.size
+    else:           # estimate k has lobes 0..k + 4
+        value, converged, used = estimates[accepted], 1, accepted + 5
+    err = 2.0 * change + head_err + 1e-15 * (abs(value) + 1.0)
+    return value, err, converged, used

@@ -145,6 +145,19 @@ def _cmd_solve(args) -> int:
         grid = _parse_grid(args.x_grid)
     except ValueError as err:
         raise _UsageError(f"bad grid: {err}") from None
+    # the reconstruction integrates Phi(x / hbar, E / hbar); name the
+    # options that put either ratio beyond the largest float
+    if not math.isfinite(args.E / args.hbar):
+        raise ValueError(
+            f"domain error: --E {args.E!r} and --hbar {args.hbar!r} put "
+            f"E/hbar at {args.E / args.hbar!r}; the reconstruction needs "
+            "it finite")
+    for x in grid:
+        if not math.isfinite(x / args.hbar):
+            raise ValueError(
+                f"domain error: --x-grid point {x!r} and --hbar "
+                f"{args.hbar!r} put x/hbar at {x / args.hbar!r}; the "
+                "reconstruction needs it finite")
     psi = MomentumEigenfunction(E=args.E, hbar=args.hbar)
     rows = []
     any_failed = False
@@ -205,6 +218,12 @@ def _cmd_order_scan(args) -> int:
     _check_number("--hbar", args.hbar, positive=True)
     if any(v < 0 or v > 1 for v in values):
         raise _UsageError("alpha*gamma values must lie in [0, 1]")
+    try:
+        args.hbar ** 2      # the coordinate ODE's E/hbar^2 divides by it
+    except OverflowError:
+        raise ValueError(
+            f"domain error: --hbar {args.hbar!r} puts hbar^2, which the "
+            "coordinate ODE divides E by, beyond the largest float") from None
     x_top = ORDER_SCAN_GRID[-1]
     z_top = 2.0 * math.sqrt(args.E * x_top) / args.hbar
     if not z_top <= _Z_MAX:

@@ -291,6 +291,22 @@ def test_solve_partial_results_on_failure():
         == ["false", "true", "true"]
 
 
+def test_solve_names_the_options_whose_ratio_overflows():
+    """The reconstruction integrates Phi(x / hbar, E / hbar); a ratio
+    beyond the largest float is a domain error that names the options,
+    not the arguments of the integral."""
+    for args, message in (
+            (("--E", "1e300", "--hbar", "1e-300", "--x-grid", "0:4:3"),
+             "error: domain error: --E 1e+300 and --hbar 1e-300 put E/hbar "
+             "at inf; the reconstruction needs it finite\n"),
+            (("--E", "1", "--hbar", "1e-10", "--x-grid", "0:1e308:2"),
+             "error: domain error: --x-grid point 1e+308 and --hbar 1e-10 "
+             "put x/hbar at inf; the reconstruction needs it finite\n")):
+        proc = run_cli("solve", *args)
+        assert (proc.returncode, proc.stdout, proc.stderr) \
+            == (3, "", message), args
+
+
 def test_solve_flags_out_of_domain_bessel_row():
     """At x = 4e7 the Bessel argument 2 sqrt(E x) / hbar is above 1e4: that
     row is flagged and the rows before it are unchanged.  NaN is not JSON,
@@ -390,6 +406,18 @@ def test_order_scan_names_the_options_beyond_the_bessel_range():
         "grid, above its limit of 10000\n")
 
 
+def test_order_scan_names_an_hbar_whose_square_overflows():
+    """The coordinate ODE divides E by hbar^2; an hbar whose square
+    overflows is a domain error that names --hbar, not a traceback."""
+    proc = run_cli("order-scan", "--alpha-gamma", "0.25", "--E", "1",
+                   "--hbar", "1e200")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: domain error: --hbar 1e+200 puts hbar^2, which the "
+        "coordinate ODE divides E by, beyond the largest float\n")
+    assert "Traceback" not in proc.stderr
+
+
 def test_order_scan_names_a_coupling_it_cannot_form():
     """At E = 1e-300 the J_nu on the grid underflow; the fit stops with a
     domain error that names E and hbar, not a silent order."""
@@ -426,6 +454,22 @@ def test_closed_stdout_ends_quietly():
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, ""), args
+
+
+def test_traced_cli_child_writes_its_spans(tmp_path):
+    """The benchmark's traced CLI runs go through perfbench/cli_child.py.
+    Its Tracer.install() wraps ScalarExpr from sys.modules["qorder.scalars"],
+    so that module must be loaded by `import qorder.cli`; without it the
+    child dies before it writes its spans."""
+    child = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                         "perfbench", "cli_child.py")
+    spans_file = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, child, "--spans", str(spans_file),
+                           "--", "normal-order", "x * p"],
+                          capture_output=True, text=True, timeout=600)
+    assert (proc.returncode, proc.stdout) == (0, "x * p\n"), proc.stderr
+    spans = json.loads(spans_file.read_text(encoding="utf-8"))["spans"]
+    assert "cli.main" in [span[0] for span in spans]
 
 
 def run_probed(*args):

@@ -9,10 +9,14 @@ import random
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qorder._kernels import _levin_estimates, _lobe_integrals, osc_tail
+from qorder._kernels import (_LEVIN, _NODE_COLUMN, _OMEGA_INDEX, _TOL,
+                             _WEIGHT_COLUMN, _ZERO_INDEX, _head_fractions,
+                             _levin_estimates, _levin_stop, _lobe_integrals,
+                             osc_tail)
 
 # z = 2 sqrt(q) over log-spaced q in [1e-6, 1e4], 12 points a decade
 LOG_Z = tuple(2.0 * 10.0 ** (-3.0 + 5.0 * i / 60) for i in range(61))
@@ -134,6 +138,36 @@ def test_levin_estimates_sum_ln2():
     assert np.min(np.abs(estimates - math.log(2.0))) <= 1e-14
 
 
+def _numpy_stop(estimates):
+    """The stop rule of _levin_stop on numpy arrays, the reference."""
+    with np.errstate(invalid="ignore"):     # inf - inf is NaN
+        changes = np.abs(np.diff(np.array(estimates, dtype=float)))
+    small = changes < _TOL
+    hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+    if hits.size:
+        i = int(hits[0])
+        return i + 3, float(changes[i:i + 3].max())
+    return None, float(changes[-3:].max()) if changes.size >= 3 else math.inf
+
+
+def test_levin_stop_matches_the_array_rule():
+    """The plain-Python scan finds the same estimate and the same largest
+    change as the same rule on arrays, NaN and infinities included, for
+    every length from no estimate to a full block."""
+    rng = random.Random(29)
+    specials = (math.nan, math.inf, -math.inf, 0.0)
+    for _ in range(4000):
+        n = rng.randrange(21)
+        value, estimates = rng.uniform(-1.0, 1.0), []
+        for _ in range(n):
+            value += rng.choice((1e-3, 1e-9, 1e-12, 5e-13, 1e-14, 0.0)) \
+                * rng.uniform(-1.0, 1.0)
+            estimates.append(rng.choice(specials) if rng.random() < 0.03
+                             else value)
+        got, want = _levin_stop(estimates), _numpy_stop(estimates)
+        assert repr(got) == repr(want), (estimates, got, want)
+
+
 def test_lobe_integrals_do_not_depend_on_the_blocks():
     """A lobe integrated alone or inside a block sums its nodes in the
     same order, so the two agree bit for bit."""
@@ -149,7 +183,39 @@ def test_lobe_integrals_do_not_depend_on_the_blocks():
 
 
 def test_osc_tail_returns_python_scalars():
+    """Every budget gives Python scalars, also those with fewer than three
+    changes of the Levin estimates: with no estimate (budgets 0 and 4) the
+    value is the head alone, and with fewer than three changes the error
+    is infinite and the call unconverged."""
     for z, cosh in ((2.0, True), (1.5, False)):
-        for max_lobes in (5, 2000):
+        for max_lobes in (0, 4, 5, 10, 24, 2000):
             result = osc_tail(z, cosh, max_lobes=max_lobes)
             assert [type(v) for v in result] == [float, float, int, int]
+            assert result[3] <= max_lobes, (z, cosh, result)
+        for max_lobes in (0, 4, 5):
+            value, err, converged, lobes = osc_tail(z, cosh, max_lobes)
+            assert (err, converged, lobes) == (math.inf, 0, max_lobes)
+        assert osc_tail(z, cosh, 0)[0] == osc_tail(z, cosh, 4)[0]
+
+
+def test_repeated_calls_share_no_state():
+    """The arrays built at import and the head grids cached per panel
+    count are shared by every call: a seeded sweep gives the same tuples
+    again in reverse order with other arguments in between, and none of
+    those arrays can be written to."""
+    rng = random.Random(23)
+    calls = [(math.exp(rng.uniform(math.log(1e-300), math.log(1e154))),
+              rng.random() < 0.5, rng.choice((0, 5, 10, 17, 24, 30)))
+             for _ in range(300)]
+    first = [osc_tail(*call) for call in calls]
+    again = []
+    for z, cosh, max_lobes in reversed(calls):
+        osc_tail(rng.uniform(1e-6, 1e3), not cosh, rng.randrange(25))
+        again.append(osc_tail(z, cosh, max_lobes))
+    assert again[::-1] == first
+    shared = [_NODE_COLUMN, _WEIGHT_COLUMN, _LEVIN, _OMEGA_INDEX, _ZERO_INDEX,
+              *_head_fractions(1), *_head_fractions(15)]
+    for array in shared:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
