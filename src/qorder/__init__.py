@@ -2,28 +2,31 @@
 verification layer (Bessel evaluation, oscillatory quadrature, Fourier
 reconstruction, ODE residuals).
 
-The numeric layer is imported on the first access to one of its names,
-so symbolic work never loads it.  Of its modules only ``quadrature`` and
+``import qorder`` loads no submodule: every public name is imported
+from its module on first access, and so is every module named in the
+table below (``qorder.parser``, ``qorder.bessel``, ...), so a program
+loads only the layers it uses.  Of the modules only ``quadrature`` and
 ``verification`` load numpy; ``bessel`` and ``coordinate`` (the Bessel
-side and the order fit) are plain Python.
+side and the order fit) are plain Python.  The errors of every layer
+live in ``errors``, which imports none of them.
 """
 
 import importlib
 
-from .scalars import (HBAR, I, ONE, ZERO, ParamSymbol, ScalarError,
-                      ScalarExpr)
-from .exponents import ExponentExpr
-from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
-                        func_power, p_power, x_power)
-from .parser import ParseError, SourceSpan, parse_operator, print_operator
-from .ordering import (AmbiguityReport, Convention, NormalForm,
-                       ODEDescriptor, OrderingError, build_two_sided,
-                       detect_ambiguity, hermitian_conjugate, hermitize,
-                       momentum_rep_ode, normal_order)
-from .errors import BesselDomainError, QuadratureError
-
-# public name -> the numeric module that defines it
+# public name -> the module that defines it
 _LAZY = {name: module for module, names in (
+    ("scalars", ("HBAR", "I", "ONE", "ZERO", "ParamSymbol", "ScalarError",
+                 "ScalarExpr")),
+    ("exponents", ("ExponentExpr",)),
+    ("operators", ("BaseKind", "Factor", "OperatorExpr", "OperatorWord",
+                   "func_power", "p_power", "x_power")),
+    ("parser", ("parse_operator", "print_operator")),
+    ("ordering", ("AmbiguityReport", "Convention", "NormalForm",
+                  "ODEDescriptor", "build_two_sided", "detect_ambiguity",
+                  "hermitian_conjugate", "hermitize", "momentum_rep_ode",
+                  "normal_order")),
+    ("errors", ("BesselDomainError", "OrderingError", "ParseError",
+                "QuadratureError", "SourceSpan")),
     ("bessel", ("BesselEval", "bessel_first_zero", "bessel_j",
                 "bessel_j_derivatives")),
     ("quadrature", ("QuadratureSpec", "sin_cos_integral",
@@ -38,23 +41,15 @@ _LAZY = {name: module for module, names in (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HBAR", "I", "ONE", "ZERO", "ParamSymbol", "ScalarError", "ScalarExpr",
-    "ExponentExpr",
-    "BaseKind", "Factor", "OperatorExpr", "OperatorWord",
-    "func_power", "p_power", "x_power",
-    "ParseError", "SourceSpan", "parse_operator", "print_operator",
-    "AmbiguityReport", "Convention", "NormalForm", "ODEDescriptor",
-    "OrderingError", "build_two_sided", "detect_ambiguity",
-    "hermitian_conjugate", "hermitize", "momentum_rep_ode", "normal_order",
-    "BesselDomainError", "QuadratureError",
-    *_LAZY,
-]
+__all__ = [*_LAZY]
 
 
 def __getattr__(name):
-    """Import a numeric name on first access and keep it in the module
-    globals, so later lookups do not come here (PEP 562)."""
+    """Import a public name or a module of the table on first access and
+    keep it in the module globals, so later lookups do not come here
+    (PEP 562)."""
+    if name in _LAZY.values():
+        return importlib.import_module(f".{name}", __name__)
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

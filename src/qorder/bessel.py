@@ -13,8 +13,8 @@ float.  The module imports no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value, _init
 from .errors import BesselDomainError
 
 _SERIES_ASYMPTOTIC_SWITCH = 30.0
@@ -22,10 +22,11 @@ _Z_MAX = 1.0e4
 _NU_MAX = 170.0         # Gamma(nu + 1) overflows above nu = 170.6
 
 
-@dataclass(frozen=True)
-class BesselEval:
-    value: float
-    abs_error_bound: float
+class BesselEval(Value):
+    __slots__ = _fields = ("value", "abs_error_bound")
+
+    def __init__(self, value: float, abs_error_bound: float):
+        _init(self, value, abs_error_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ Exit codes: 0 success, 2 usage/parse error, 3 domain/ordering error,
 ``qorder ... | head -1``; 128 + SIGPIPE, what a shell reports for a
 process that SIGPIPE ended), which ends the run with no message.  Data
 goes to stdout, diagnostics to stderr.
-The numeric modules are imported only by the commands that compute a
-number, so ``normal-order`` and the symbolic ``verify`` suites start
-without numpy.  ``order-scan`` needs only the plain-Python Bessel side
-and order fit and starts without numpy too; ``solve`` and ``verify``'s
-``eq11`` rows load it for the lobe quadrature.
+Each command imports only the layer it uses and catches every layer's
+errors from :mod:`qorder.errors`: ``normal-order`` and the symbolic
+``verify`` suites load no numeric module, ``order-scan`` and ``solve``
+no parser or ordering engine, and only ``solve`` and ``verify``'s
+``eq11`` rows load numpy, for the lobe quadrature.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import identities
-from .errors import BesselDomainError, QuadratureError
-from .ordering import Convention, OrderingError, normal_order
-from .parser import ParseError, parse_operator, print_operator
+from .errors import (BesselDomainError, OrderingError, ParseError,
+                     QuadratureError)
 from .scalars import ScalarError
 
 EXIT_OK = 0
@@ -67,6 +65,8 @@ def _check_number(option: str, value: float, positive: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_normal_order(args) -> int:
+    from .ordering import Convention, normal_order
+    from .parser import parse_operator, print_operator
     expr = parse_operator(args.expr)
     if args.hermitize_scale:
         expr = expr.scaled(Fraction(1, 2))
@@ -90,6 +90,7 @@ def _cmd_normal_order(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    from . import identities
     rows = [row for row in identities.IDENTITIES
             if args.identity in ("all", identities.suite(row))]
     if not rows:
@@ -132,6 +133,9 @@ def _parse_grid(text: str) -> list[float]:
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
+    if not math.isfinite(step):
+        raise ValueError(f"step ({stop!r} - {start!r}) / {count - 1} "
+                         "is beyond the largest float")
     return [start + step * k for k in range(count)]
 
 

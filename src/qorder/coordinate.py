@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from ._value import Value, _init
 from .bessel import bessel_j_derivatives
 
 _EPS = 1e-30
@@ -18,33 +18,30 @@ _COORDINATE_ODE_TOL = 1e-8      # the largest residual the check passes with
 _FIT_BRACKET = 1e-10
 
 
-@dataclass(frozen=True)
-class CoordinateEigenfunction:
+class CoordinateEigenfunction(Value):
     """psi(x) = J_nu(2 sqrt(E |x|) / hbar)."""
 
-    E: float
-    hbar: float
-    nu: float = 0.0
+    __slots__ = _fields = ("E", "hbar", "nu")
 
-    def __post_init__(self):
-        if not (0.0 < self.E < math.inf and 0.0 < self.hbar < math.inf):
+    def __init__(self, E: float, hbar: float, nu: float = 0.0):
+        if not (0.0 < E < math.inf and 0.0 < hbar < math.inf):
             raise ValueError("domain error: CoordinateEigenfunction needs "
                              "finite E, hbar > 0, got "
-                             f"E={self.E!r}, hbar={self.hbar!r}")
-        if not 0.0 <= self.nu < math.inf:
+                             f"E={E!r}, hbar={hbar!r}")
+        if not 0.0 <= nu < math.inf:
             raise ValueError("domain error: CoordinateEigenfunction needs "
-                             f"finite nu >= 0, got nu={self.nu!r}")
+                             f"finite nu >= 0, got nu={nu!r}")
+        _init(self, E, hbar, nu)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    grid: tuple[float, ...]
-    residuals: tuple[float, ...]
-    tolerance: float
+class ResidualReport(Value):
+    __slots__ = _fields = ("grid", "residuals", "tolerance")
 
-    def __post_init__(self):
-        if len(self.grid) != len(self.residuals):
+    def __init__(self, grid: tuple[float, ...], residuals: tuple[float, ...],
+                 tolerance: float):
+        if len(grid) != len(residuals):
             raise ValueError("grid/residual length mismatch")
+        _init(self, grid, residuals, tolerance)
 
     @property
     def max_residual(self) -> float:
@@ -64,11 +61,16 @@ def _ode_terms(nu: float, E: float, hbar: float, x: float):
     x^2 psi'' + x psi' - (alpha gamma) psi + (E/hbar^2) x psi = 0."""
     z = 2.0 * math.sqrt(E * x) / hbar
     j, jp, jpp = bessel_j_derivatives(nu, z)
+    try:
+        energy = E / hbar ** 2
+    except OverflowError:
+        raise ValueError(f"domain error: hbar={hbar!r} puts hbar^2, which "
+                         "the coordinate ODE divides E by, beyond the "
+                         "largest float") from None
     # chain rule through z:
     #   x psi'  = z J' / 2
     #   x^2 psi'' = (z^2 J'' - z J') / 4
-    return ((z * z * jpp - z * jp) / 4.0, z * jp / 2.0, j,
-            (E / hbar ** 2) * x * j)
+    return ((z * z * jpp - z * jp) / 4.0, z * jp / 2.0, j, energy * x * j)
 
 
 def coordinate_ode_residual(psi: CoordinateEigenfunction, alpha_gamma: float,

@@ -1,9 +1,49 @@
-"""The numeric layer's errors, importable without numpy.
+"""The package's errors, importable without the layers that raise them.
 
-``qorder.bessel`` and ``qorder.quadrature`` raise these and re-export
-them under the same names; the CLI catches them from here, so its
-symbolic commands never import the numeric layer.
+``parser``, ``ordering``, ``bessel`` and ``quadrature`` raise these and
+re-export them under the same names; the CLI catches them from here, so
+each command loads only the layer it uses.
 """
+
+from ._value import Value, _init
+
+
+class SourceSpan(Value):
+    __slots__ = _fields = ("start", "end")
+
+    def __init__(self, start: int, end: int):
+        if start > end:
+            raise ValueError("span start after end")
+        _init(self, start, end)
+
+
+class ParseError(Value, ValueError):
+    """Raised on text outside the operator grammar: what went wrong, its
+    span, and the tokens that would have been accepted there."""
+
+    _fields = ("message", "span", "expected")
+    # an exception stays assignable, and so unhashable
+    __setattr__ = ValueError.__setattr__
+    __delattr__ = ValueError.__delattr__
+    __hash__ = None
+
+    def __init__(self, message: str, span: SourceSpan,
+                 expected: list[str] | None = None):
+        if not message:
+            raise ValueError("empty parse error message")
+        self.message = message
+        self.span = span
+        self.expected = [] if expected is None else expected
+
+    def __str__(self):
+        loc = f"at {self.span.start}..{self.span.end}"
+        if self.expected:
+            return f"{self.message} {loc} (expected {', '.join(self.expected)})"
+        return f"{self.message} {loc}"
+
+
+class OrderingError(ValueError):
+    """Raised when an expression cannot be normal-ordered as requested."""
 
 
 class BesselDomainError(ValueError):

@@ -13,9 +13,9 @@ so never touch ``Fraction`` arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, _set
 from .scalars import ScalarExpr, ScalarError, _param_name, _rational
 
 
@@ -26,13 +26,27 @@ def _as_fraction(v) -> int | Fraction:
     raise ScalarError(f"exponent coefficients must be rational, got {v!r}")
 
 
-@dataclass(frozen=True)
-class ExponentExpr:
+class ExponentExpr(Value):
     """const + sum of coeff * param, all coefficients rational (an int
-    where whole)."""
+    where whole).  Exponents key the ordering engine's dicts, so the hash
+    is taken once, at construction."""
 
-    const: int | Fraction = 0
-    linear: tuple[tuple[str, int | Fraction], ...] = ()
+    _fields = ("const", "linear")
+    __slots__ = (*_fields, "_hash")
+
+    def __init__(self, const: int | Fraction = 0,
+                 linear: tuple[tuple[str, int | Fraction], ...] = ()):
+        _set(self, "const", const)
+        _set(self, "linear", linear)
+        _set(self, "_hash", hash((const, linear)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.const == other.const and self.linear == other.linear
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def make(cls, const=0, linear=None) -> "ExponentExpr":

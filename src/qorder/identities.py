@@ -10,8 +10,8 @@ runs one row; the CLI and the acceptance tests both read this table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._value import Value, _init
 from .operators import OperatorExpr
 from .ordering import Convention, detect_ambiguity, hermitize, normal_order
 from .parser import parse_operator, print_operator
@@ -19,31 +19,31 @@ from .parser import parse_operator, print_operator
 COORDINATE, MOMENTUM = Convention.COORDINATE, Convention.MOMENTUM
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Value):
     """normal_order(text), hermitized first if asked, equals
     normal_order(expected); exactly the ``surviving`` words depend on
     ``params``.  ``detail`` is printed on success, or the normal form
     where it is None."""
 
-    id: str
-    convention: Convention
-    text: str
-    expected: str
-    hermitize: bool = False
-    params: tuple[str, ...] = ("alpha",)
-    surviving: tuple[str, ...] = ()
-    detail: str | None = None
+    __slots__ = _fields = ("id", "convention", "text", "expected",
+                           "hermitize", "params", "surviving", "detail")
+
+    def __init__(self, id: str, convention: Convention, text: str,
+                 expected: str, hermitize: bool = False,
+                 params: tuple[str, ...] = ("alpha",),
+                 surviving: tuple[str, ...] = (), detail: str | None = None):
+        _init(self, id, convention, text, expected, hermitize, params,
+              surviving, detail)
 
 
-@dataclass(frozen=True)
-class IntegralIdentity:
+class IntegralIdentity(Value):
     """Both mixed-product orderings of eq11 at (a, b) equal
     (pi/2) J_0(2 (a^2 b^2)^(1/4))."""
 
-    id: str
-    a: float
-    b: float
+    __slots__ = _fields = ("id", "a", "b")
+
+    def __init__(self, id: str, a: float, b: float):
+        _init(self, id, a, b)
 
 
 IDENTITIES = (

@@ -10,8 +10,8 @@ commute p past x-dependent factors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
+from ._value import Value, _set
 from .exponents import ExponentExpr
 from .scalars import ScalarExpr, ScalarError, ONE
 
@@ -24,24 +24,25 @@ class BaseKind(enum.Enum):
     FUNC = "func"
 
 
-@dataclass(frozen=True)
-class Factor:
-    kind: BaseKind
-    exponent: ExponentExpr
-    name: str = ""
-    deriv: int = 0
+class Factor(Value):
+    __slots__ = _fields = ("kind", "exponent", "name", "deriv")
 
-    def __post_init__(self):
-        if self.kind is BaseKind.FUNC:
-            if not self.name or self.name in _RESERVED_FUNC_NAMES:
-                raise ScalarError(f"invalid function name {self.name!r}")
-            if self.deriv < 0:
+    def __init__(self, kind: BaseKind, exponent: ExponentExpr,
+                 name: str = "", deriv: int = 0):
+        if kind is BaseKind.FUNC:
+            if not name or name in _RESERVED_FUNC_NAMES:
+                raise ScalarError(f"invalid function name {name!r}")
+            if deriv < 0:
                 raise ScalarError("derivative order must be nonnegative")
         else:
-            if self.name:
+            if name:
                 raise ScalarError("x/p factors carry no function name")
-            if self.deriv:
+            if deriv:
                 raise ScalarError("x/p factors carry no derivative order")
+        _set(self, "kind", kind)
+        _set(self, "exponent", exponent)
+        _set(self, "name", name)
+        _set(self, "deriv", deriv)
 
     @property
     def base_key(self):
@@ -68,10 +69,13 @@ def func_power(name: str, e=1, deriv: int = 0) -> Factor:
     return Factor(BaseKind.FUNC, ExponentExpr._coerce(e), name, deriv)
 
 
-@dataclass(frozen=True)
-class OperatorWord:
-    coefficient: ScalarExpr = field(default_factory=lambda: ONE)
-    factors: tuple[Factor, ...] = ()
+class OperatorWord(Value):
+    __slots__ = _fields = ("coefficient", "factors")
+
+    def __init__(self, coefficient: ScalarExpr = ONE,
+                 factors: tuple[Factor, ...] = ()):
+        _set(self, "coefficient", coefficient)
+        _set(self, "factors", factors)
 
     def scaled(self, s: ScalarExpr) -> "OperatorWord":
         return OperatorWord(self.coefficient * s, self.factors)

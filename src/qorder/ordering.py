@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, _init
+from .errors import OrderingError
 from .exponents import ExponentExpr, ONE_EXP
 from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
                         p_power, x_power)
@@ -36,21 +37,19 @@ from .parser import _factor_text, print_operator
 from .scalars import HBAR, I, ParamSymbol, ScalarExpr
 
 
-class OrderingError(ValueError):
-    """Raised when an expression cannot be normal-ordered as requested."""
-
-
 class Convention(enum.Enum):
     COORDINATE = "coordinate"   # all p factors rightmost
     MOMENTUM = "momentum"       # all x factors rightmost
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Value):
     """Canonical ordered representation; the engine's equality witness."""
 
-    convention: Convention
-    words: tuple[OperatorWord, ...]
+    __slots__ = _fields = ("convention", "words")
+
+    def __init__(self, convention: Convention,
+                 words: tuple[OperatorWord, ...]):
+        _init(self, convention, words)
 
     def as_operator_expr(self) -> OperatorExpr:
         return OperatorExpr(self.words)
@@ -61,10 +60,12 @@ class NormalForm:
         return print_operator(self.as_operator_expr())
 
 
-@dataclass(frozen=True)
-class AmbiguityReport:
-    free_params: tuple[ParamSymbol, ...]
-    surviving_terms: tuple[OperatorWord, ...]
+class AmbiguityReport(Value):
+    __slots__ = _fields = ("free_params", "surviving_terms")
+
+    def __init__(self, free_params: tuple[ParamSymbol, ...],
+                 surviving_terms: tuple[OperatorWord, ...]):
+        _init(self, free_params, surviving_terms)
 
     @property
     def ambiguous(self) -> bool:
@@ -237,13 +238,13 @@ def detect_ambiguity(n: NormalForm, free) -> AmbiguityReport:
     return AmbiguityReport(params, surviving)
 
 
-@dataclass(frozen=True)
-class ODEDescriptor:
+class ODEDescriptor(Value):
     """First-order momentum-space ODE a(p) psi' + b(p) psi = E psi."""
 
-    a: ScalarExpr
-    b: ScalarExpr
-    energy: ParamSymbol
+    __slots__ = _fields = ("a", "b", "energy")
+
+    def __init__(self, a: ScalarExpr, b: ScalarExpr, energy: ParamSymbol):
+        _init(self, a, b, energy)
 
     def __str__(self):
         return (f"({self.a}) * dpsi/dp + ({self.b}) * psi"

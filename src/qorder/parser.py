@@ -27,41 +27,14 @@ in the order it was built, as ``x + p`` does.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import ParseError, SourceSpan
 from .exponents import ONE_EXP, ExponentExpr
 from .operators import (BaseKind, Factor, OperatorExpr, func_power,
                         p_power, x_power)
 from .scalars import ScalarExpr, ScalarError, _rational
-
-
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError("span start after end")
-
-
-@dataclass
-class ParseError(ValueError):
-    message: str
-    span: SourceSpan
-    expected: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.message:
-            raise ValueError("empty parse error message")
-
-    def __str__(self):
-        loc = f"at {self.span.start}..{self.span.end}"
-        if self.expected:
-            return f"{self.message} {loc} (expected {', '.join(self.expected)})"
-        return f"{self.message} {loc}"
 
 
 # ---------------------------------------------------------------------------

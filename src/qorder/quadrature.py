@@ -17,27 +17,27 @@ block raises :class:`QuadratureError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._kernels import osc_tail
+from ._value import Value, _init
 from .errors import QuadratureError
 
 _Q_FLOOR = 1e-12        # smallest phase coupling q = |a| b evaluated
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Value):
     """The lobe budget of a half-line integral.  Its one block holds
     at most 24 lobes, so the budget caps the block: a budget below 24
     sums fewer lobes, and one above it sums no more than 24."""
 
-    max_subdivisions: int = 24
+    __slots__ = _fields = ("max_subdivisions",)
 
-    def __post_init__(self):
-        if self.max_subdivisions < 10:
+    def __init__(self, max_subdivisions: int = 24):
+        if max_subdivisions < 10:
             raise ValueError("max_subdivisions, the lobe budget of a "
                              "quadrature, must be at least 10, got "
-                             f"{self.max_subdivisions!r}")
+                             f"{max_subdivisions!r}")
+        _init(self, max_subdivisions)
 
 
 def sin_phase_integral(a: float, b: float,

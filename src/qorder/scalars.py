@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._value import Value, _init
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -47,17 +48,17 @@ class ScalarError(ValueError):
     """Raised on invalid scalar construction or evaluation."""
 
 
-@dataclass(frozen=True)
-class ParamSymbol:
+class ParamSymbol(Value):
     """A named real parameter (alpha, gamma, E, hbar, ...)."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise ScalarError(f"invalid parameter name {self.name!r}")
-        if self.name == "i":
+    def __init__(self, name: str):
+        if not _IDENT_RE.match(name):
+            raise ScalarError(f"invalid parameter name {name!r}")
+        if name == "i":
             raise ScalarError('"i" is reserved for the imaginary unit')
+        _init(self, name)
 
     def __str__(self):
         return self.name

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._value import Value, _init
 from .bessel import bessel_first_zero, bessel_j
 from .coordinate import (ORDER_SCAN_GRID, CoordinateEigenfunction,
                          ResidualReport, _EPS, coordinate_ode_residual,
@@ -25,22 +25,20 @@ _MOMENTUM_ODE_TOL = 1e-12
 _INTEGRAL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class MomentumEigenfunction:
+class MomentumEigenfunction(Value):
     """psi~(p) = N exp(i E / (hbar p)) / p, defined for p != 0."""
 
-    E: float
-    hbar: float
-    N: complex = 1.0
+    __slots__ = _fields = ("E", "hbar", "N")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.E) and 0.0 < self.hbar < math.inf):
+    def __init__(self, E: float, hbar: float, N: complex = 1.0):
+        if not (math.isfinite(E) and 0.0 < hbar < math.inf):
             raise ValueError("domain error: MomentumEigenfunction needs "
                              "finite E and finite hbar > 0, got "
-                             f"E={self.E!r}, hbar={self.hbar!r}")
-        if not cmath.isfinite(self.N):
+                             f"E={E!r}, hbar={hbar!r}")
+        if not cmath.isfinite(N):
             raise ValueError("domain error: MomentumEigenfunction needs "
-                             f"a finite N, got N={self.N!r}")
+                             f"a finite N, got N={N!r}")
+        _init(self, E, hbar, N)
 
     def value(self, p: float) -> complex:
         if p == 0:
@@ -69,10 +67,11 @@ def momentum_ode_residual(psi: MomentumEigenfunction, grid) -> ResidualReport:
     return ResidualReport(grid, tuple(residuals), _MOMENTUM_ODE_TOL)
 
 
-@dataclass(frozen=True)
-class Reconstruction:
-    value: complex
-    abs_error: float
+class Reconstruction(Value):
+    __slots__ = _fields = ("value", "abs_error")
+
+    def __init__(self, value: complex, abs_error: float):
+        _init(self, value, abs_error)
 
 
 def fourier_reconstruct_detailed(psi: MomentumEigenfunction, x: float,

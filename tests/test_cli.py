@@ -78,8 +78,11 @@ def test_normal_order_json():
 
 # -- verify -----------------------------------------------------------------------
 
+_SYMBOLIC_SUITES = ("eq3", "eq4", "eq14", "eq18", "eq19")
+
+
 def test_verify_symbolic_suites():
-    for name in ("eq3", "eq4", "eq14", "eq18", "eq19"):
+    for name in _SYMBOLIC_SUITES:
         proc = run_cli("verify", "--identity", name)
         assert proc.returncode == 0, (name, proc.stdout, proc.stderr)
         assert "FAIL" not in proc.stdout
@@ -201,6 +204,69 @@ def test_symbolic_commands_golden_bytes(capsys, argv, code, stdout, stderr):
     assert capsys.readouterr() == (stdout, stderr)
 
 
+# (argv, stdout) of the numeric commands, each byte pinned; every one
+# exits 0 with nothing on stderr
+_SCAN = ["order-scan", "--alpha-gamma", "0", "0.25", "--format"]
+_SOLVE = ["solve", "--E", "1", "--x-grid=-1:2:4", "--format"]
+_EQ11 = [(a, b, residual) for (a, b), residual in zip(
+    [(a, b) for a in ("0.5", "1.0", "2.0") for b in ("0.5", "1.0", "2.0")],
+    ("6.661e-16", "6.661e-16", "4.996e-16", "6.661e-16", "4.996e-16",
+     "1.499e-15", "4.996e-16", "1.499e-15", "3.331e-16"))]
+_NUMERIC_GOLDEN = [
+    (_SCAN + ["human"],
+     "alpha*gamma=0: fitted order 0.000000, 2*sqrt = 0.000000, "
+     "coupling-as-index 0; residual fitted 1.79e-16, coupling 1.79e-16\n"
+     "alpha*gamma=0.25: fitted order 1.000000, 2*sqrt = 1.000000, "
+     "coupling-as-index 0.25; residual fitted 1.10e-11, coupling 9.38e-01\n"),
+    (_SCAN + ["json"],
+     '[{"alpha_gamma": 0.0, "fitted_order": 0.0, "two_sqrt_alpha_gamma": 0.0, '
+     '"coupling_index": 0.0, "fitted_residual": 1.7896846186432773e-16, '
+     '"coupling_index_residual": 1.7896846186432773e-16}, '
+     '{"alpha_gamma": 0.25, "fitted_order": 0.9999999999912847, '
+     '"two_sqrt_alpha_gamma": 1.0, "coupling_index": 0.25, '
+     '"fitted_residual": 1.0990408559509366e-11, '
+     '"coupling_index_residual": 0.9375000000000001}]\n'),
+    (_SCAN + ["csv"],
+     "alpha_gamma,fitted_order,two_sqrt_alpha_gamma,coupling_index,"
+     "fitted_residual,coupling_index_residual\n"
+     "0.0,0.0,0.0,0.0,1.7896846186432773e-16,1.7896846186432773e-16\n"
+     "0.25,0.9999999999912847,1.0,0.25,1.0990408559509366e-11,"
+     "0.9375000000000001\n"),
+    (_SOLVE + ["csv"],
+     "x,psi_re,psi_im,j0,ratio_re,ratio_im,failed\n"
+     "-1.0,0.0,0.0,0.22389077914123567,0.0,0.0,false\n"
+     "0.0,0.0,6.283185307173308,1.0,0.0,6.283185307173308,false\n"
+     "1.0,0.0,1.4067472539132038,0.22389077914123567,0.0,"
+     "6.283185307179595,false\n"
+     "2.0,-0.0,-1.2349481043575337,-0.19654809527046826,-0.0,"
+     "6.283185307179555,false\n"),
+    (_SOLVE + ["json"],
+     '[{"x": -1.0, "psi_re": 0.0, "psi_im": 0.0, "j0": 0.22389077914123567, '
+     '"ratio_re": 0.0, "ratio_im": 0.0, "failed": false}, '
+     '{"x": 0.0, "psi_re": 0.0, "psi_im": 6.283185307173308, "j0": 1.0, '
+     '"ratio_re": 0.0, "ratio_im": 6.283185307173308, "failed": false}, '
+     '{"x": 1.0, "psi_re": 0.0, "psi_im": 1.4067472539132038, '
+     '"j0": 0.22389077914123567, "ratio_re": 0.0, '
+     '"ratio_im": 6.283185307179595, "failed": false}, '
+     '{"x": 2.0, "psi_re": -0.0, "psi_im": -1.2349481043575337, '
+     '"j0": -0.19654809527046826, "ratio_re": -0.0, '
+     '"ratio_im": 6.283185307179555, "failed": false}]\n'),
+    (["verify", "--identity", "eq11", "--format", "json"],
+     "[" + ", ".join(f'{{"id": "eq11[a={a},b={b}]", "pass": true, '
+                     f'"detail": "max residual {residual}"}}'
+                     for a, b, residual in _EQ11) + "]\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", _NUMERIC_GOLDEN,
+                         ids=[" ".join(case[0]) for case in _NUMERIC_GOLDEN])
+def test_numeric_commands_golden_bytes(capsys, argv, stdout):
+    """The exact stdout of order-scan in every format, of solve over both
+    signs of x and of the eq11 suite, in process."""
+    assert main(argv) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
 # -- solve ------------------------------------------------------------------------
 
 def test_solve_csv_ratio_constant():
@@ -277,6 +343,15 @@ def test_solve_bad_grid():
     proc = run_cli("solve", "--E", "1", "--x-grid", "0:1")
     assert proc.returncode == 2
     assert "bad grid" in proc.stderr
+
+
+def test_solve_rejects_a_grid_step_that_overflows(capsys):
+    """A step (stop - start) / (count - 1) beyond the largest float would
+    put nan and inf on the grid; it is a bad grid that names the step."""
+    assert main(["solve", "--E", "1", "--x-grid=-1e308:1e308:3"]) == 2
+    assert capsys.readouterr() == (
+        "", "bad grid: step (1e+308 - -1e+308) / 2 is beyond the largest "
+            "float\n")
 
 
 def test_solve_partial_results_on_failure():
@@ -472,13 +547,21 @@ def test_traced_cli_child_writes_its_spans(tmp_path):
     assert "cli.main" in [span[0] for span in spans]
 
 
+_PROBED = ("numpy", "dataclasses", "inspect", "qorder.parser",
+           "qorder.ordering", "qorder.identities")
+
+
 def run_probed(*args):
-    """run_cli through qorder.cli.main, plus whether numpy was loaded."""
-    code = ("import sys, qorder.cli; code = qorder.cli.main(sys.argv[1:]); "
-            "sys.stderr.write(str('numpy' in sys.modules)); sys.exit(code)")
+    """run_cli through qorder.cli.main, plus the set of modules of _PROBED
+    that ``import qorder.cli`` and the command loaded."""
+    code = ("import sys; before = set(sys.modules); import qorder.cli; "
+            "code = qorder.cli.main(sys.argv[1:]); "
+            f"sys.stderr.write('\\n' + ' '.join(m for m in {_PROBED!r} "
+            "if m in sys.modules and m not in before)); sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, timeout=600)
-    return proc, proc.stderr.endswith("True")
+    proc.stderr, _, loaded = proc.stderr.rpartition("\n")
+    return proc, set(loaded.split())
 
 
 def test_symbolic_commands_do_not_import_numpy():
@@ -488,16 +571,15 @@ def test_symbolic_commands_do_not_import_numpy():
               "csv": 'representation,normal_form\n'
                      'coordinate,"x * p - i * hbar"\n'}
     for fmt, expected in golden.items():
-        proc, numpy_loaded = run_probed("normal-order", "p * x",
-                                        "--format", fmt)
+        proc, loaded = run_probed("normal-order", "p * x", "--format", fmt)
         assert (proc.returncode, proc.stdout) == (0, expected), fmt
-        assert not numpy_loaded, fmt
-    for name in ("eq3", "eq4", "eq14", "eq18", "eq19"):
-        proc, numpy_loaded = run_probed("verify", "--identity", name)
+        assert "numpy" not in loaded, fmt
+    for name in _SYMBOLIC_SUITES:
+        proc, loaded = run_probed("verify", "--identity", name)
         assert proc.returncode == 0, (name, proc.stderr)
         assert [line.split(":")[0] for line in proc.stdout.splitlines()] \
             == [f"PASS {row.id}" for row in IDENTITIES if suite(row) == name]
-        assert not numpy_loaded, name
+        assert "numpy" not in loaded, name
 
 
 def test_order_scan_does_not_import_numpy():
@@ -505,10 +587,10 @@ def test_order_scan_does_not_import_numpy():
     its rows are the ones run_cli prints, in every format."""
     for fmt in ("human", "json", "csv"):
         args = ("order-scan", "--alpha-gamma", "0", "0.25", "--format", fmt)
-        proc, numpy_loaded = run_probed(*args)
+        proc, loaded = run_probed(*args)
         assert proc.returncode == 0, (fmt, proc.stderr)
         assert proc.stdout == run_cli(*args).stdout
-        assert not numpy_loaded, fmt
+        assert "numpy" not in loaded, fmt
         if fmt == "human":
             assert [line.split(",")[0] for line in proc.stdout.splitlines()] \
                 == ["alpha*gamma=0: fitted order 0.000000",
@@ -525,16 +607,43 @@ def test_numeric_commands_import_numpy():
     out = {}
     for args in (("verify", "--identity", "eq11"),
                  ("solve", "--E", "1", "--x-grid", "0:1:2")):
-        proc, numpy_loaded = run_probed(*args)
+        proc, loaded = run_probed(*args)
         assert proc.returncode == 0, (args, proc.stderr)
         assert proc.stdout == run_cli(*args).stdout
-        assert numpy_loaded, args
+        assert "numpy" in loaded, args
         out[args[0]] = proc.stdout
     assert [line.split(":")[0] for line in out["verify"].splitlines()] \
         == [f"PASS {row.id}" for row in IDENTITIES if suite(row) == "eq11"]
     header, origin, _ = out["solve"].splitlines()
     assert header == "x,psi_re,psi_im,j0,ratio_re,ratio_im,failed"
     assert origin.split(",")[0::3] == ["0.0", "1.0", "false"]
+
+
+def test_each_command_loads_only_its_layer():
+    """The symbolic commands load no dataclasses, and with it no inspect;
+    the numeric ones load neither the parser, the ordering engine nor the
+    identity table.  ``import qorder.cli`` still loads qorder.scalars,
+    whose ScalarExpr the benchmark's traced CLI runs wrap.  The probe
+    sees each of these modules where a command does load it."""
+    symbolic = [("normal-order", "p * x", "--format", fmt)
+                for fmt in ("human", "json", "csv")]
+    symbolic += [("verify", "--identity", name) for name in _SYMBOLIC_SUITES]
+    for args in symbolic:
+        proc, loaded = run_probed(*args)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert not loaded & {"dataclasses", "inspect"}, args
+        assert {"qorder.parser", "qorder.ordering"} <= loaded, args
+    for args in (("order-scan", "--alpha-gamma", "0.25"),
+                 ("solve", "--E", "1", "--x-grid", "0:1:2")):
+        proc, loaded = run_probed(*args)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert not loaded & {"qorder.parser", "qorder.ordering",
+                             "qorder.identities"}, args
+    assert "inspect" in loaded      # numpy loads it
+    code = "import sys, qorder.cli; sys.exit('qorder.scalars' not in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -51,6 +51,25 @@ def test_numeric_names_load_on_first_access():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_submodule():
+    """``import qorder`` loads none of its modules; a public name loads
+    only its own, and each module of the table resolves as an attribute
+    of the package."""
+    code = ("import sys, qorder; "
+            "loaded = lambda: {m for m in sys.modules if m.startswith('qorder.')}; "
+            "assert not loaded(), loaded(); "
+            "qorder.OrderingError; "
+            "assert loaded() == {'qorder.errors', 'qorder._value'}, loaded(); "
+            "assert qorder.parser.ParseError is qorder.errors.ParseError; "
+            "assert 'qorder.ordering' not in sys.modules; "
+            "assert qorder.coordinate.determine_bessel_order "
+            "is qorder.determine_bessel_order; "
+            "assert 'numpy' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("caught", [
     qorder.QuadratureError, quadrature.QuadratureError,
     verification.QuadratureError, errors.QuadratureError],

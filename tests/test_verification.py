@@ -447,6 +447,25 @@ def test_order_fit_names_a_coupling_it_cannot_form():
     assert abs(coordinate.order_coupling(1.0, 1e-150, 1.0) - 0.25) <= 1e-9
 
 
+def test_coordinate_ode_names_an_hbar_whose_square_overflows():
+    """The coordinate ODE divides E by hbar^2; above hbar = 1.3408e154
+    that square overflows, a domain error that names hbar, not a bare
+    OverflowError.  Just below it the fit still runs."""
+    message = (r"^domain error: hbar=1e\+200 puts hbar\^2, which the "
+               r"coordinate ODE divides E by, beyond the largest float$")
+    psi = CoordinateEigenfunction(1.0, 1e200)
+    for call in (lambda: determine_bessel_order(0.25, 1.0, 1e200),
+                 lambda: coordinate.order_coupling(1.0, 1.0, 1e200),
+                 lambda: coordinate_ode_residual(psi, 0.25, (1.0,))):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match=r"hbar=1\.35e\+154 puts hbar\^2"):
+        coordinate.order_coupling(1.0, 1.0, 1.35e154)
+    report = coordinate_ode_residual(CoordinateEigenfunction(1.0, 1.34e154),
+                                     0.0, (1.0,))
+    assert report.passed
+
+
 def test_order_fit_insensitive_to_scales():
     nu = determine_bessel_order(0.25, E=2.0, hbar=0.5)
     assert abs(nu - 1.0) <= 1e-6
