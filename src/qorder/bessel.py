@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Value, _init
+from ._value import Value, _set
 from .errors import BesselDomainError
 
 _SERIES_ASYMPTOTIC_SWITCH = 30.0
@@ -26,7 +26,8 @@ class BesselEval(Value):
     __slots__ = _fields = ("value", "abs_error_bound")
 
     def __init__(self, value: float, abs_error_bound: float):
-        _init(self, value, abs_error_bound)
+        _set(self, "value", value)
+        _set(self, "abs_error_bound", abs_error_bound)
 
 
 # ---------------------------------------------------------------------------

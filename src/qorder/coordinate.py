@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 
-from ._value import Value, _init
+from ._value import Value, _set
 from .bessel import bessel_j_derivatives
 
 _EPS = 1e-30
@@ -31,7 +31,9 @@ class CoordinateEigenfunction(Value):
         if not 0.0 <= nu < math.inf:
             raise ValueError("domain error: CoordinateEigenfunction needs "
                              f"finite nu >= 0, got nu={nu!r}")
-        _init(self, E, hbar, nu)
+        _set(self, "E", E)
+        _set(self, "hbar", hbar)
+        _set(self, "nu", nu)
 
 
 class ResidualReport(Value):
@@ -41,7 +43,9 @@ class ResidualReport(Value):
                  tolerance: float):
         if len(grid) != len(residuals):
             raise ValueError("grid/residual length mismatch")
-        _init(self, grid, residuals, tolerance)
+        _set(self, "grid", grid)
+        _set(self, "residuals", residuals)
+        _set(self, "tolerance", tolerance)
 
     @property
     def max_residual(self) -> float:

@@ -5,7 +5,7 @@ re-export them under the same names; the CLI catches them from here, so
 each command loads only the layer it uses.
 """
 
-from ._value import Value, _init
+from ._value import Record, Value, _set
 
 
 class SourceSpan(Value):
@@ -14,18 +14,15 @@ class SourceSpan(Value):
     def __init__(self, start: int, end: int):
         if start > end:
             raise ValueError("span start after end")
-        _init(self, start, end)
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
-class ParseError(Value, ValueError):
+class ParseError(Record, ValueError):
     """Raised on text outside the operator grammar: what went wrong, its
     span, and the tokens that would have been accepted there."""
 
     _fields = ("message", "span", "expected")
-    # an exception stays assignable, and so unhashable
-    __setattr__ = ValueError.__setattr__
-    __delattr__ = ValueError.__delattr__
-    __hash__ = None
 
     def __init__(self, message: str, span: SourceSpan,
                  expected: list[str] | None = None):

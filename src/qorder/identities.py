@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from ._value import Value, _init
+from ._value import Value, _set
 from .operators import OperatorExpr
 from .ordering import Convention, detect_ambiguity, hermitize, normal_order
 from .parser import parse_operator, print_operator
@@ -32,8 +32,14 @@ class Identity(Value):
                  expected: str, hermitize: bool = False,
                  params: tuple[str, ...] = ("alpha",),
                  surviving: tuple[str, ...] = (), detail: str | None = None):
-        _init(self, id, convention, text, expected, hermitize, params,
-              surviving, detail)
+        _set(self, "id", id)
+        _set(self, "convention", convention)
+        _set(self, "text", text)
+        _set(self, "expected", expected)
+        _set(self, "hermitize", hermitize)
+        _set(self, "params", params)
+        _set(self, "surviving", surviving)
+        _set(self, "detail", detail)
 
 
 class IntegralIdentity(Value):
@@ -43,7 +49,9 @@ class IntegralIdentity(Value):
     __slots__ = _fields = ("id", "a", "b")
 
     def __init__(self, id: str, a: float, b: float):
-        _init(self, id, a, b)
+        _set(self, "id", id)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
 IDENTITIES = (

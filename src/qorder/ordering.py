@@ -28,7 +28,7 @@ import enum
 import functools
 from fractions import Fraction
 
-from ._value import Value, _init
+from ._value import Value, _set
 from .errors import OrderingError
 from .exponents import ExponentExpr, ONE_EXP
 from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
@@ -49,7 +49,8 @@ class NormalForm(Value):
 
     def __init__(self, convention: Convention,
                  words: tuple[OperatorWord, ...]):
-        _init(self, convention, words)
+        _set(self, "convention", convention)
+        _set(self, "words", words)
 
     def as_operator_expr(self) -> OperatorExpr:
         return OperatorExpr(self.words)
@@ -65,7 +66,8 @@ class AmbiguityReport(Value):
 
     def __init__(self, free_params: tuple[ParamSymbol, ...],
                  surviving_terms: tuple[OperatorWord, ...]):
-        _init(self, free_params, surviving_terms)
+        _set(self, "free_params", free_params)
+        _set(self, "surviving_terms", surviving_terms)
 
     @property
     def ambiguous(self) -> bool:
@@ -244,7 +246,9 @@ class ODEDescriptor(Value):
     __slots__ = _fields = ("a", "b", "energy")
 
     def __init__(self, a: ScalarExpr, b: ScalarExpr, energy: ParamSymbol):
-        _init(self, a, b, energy)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "energy", energy)
 
     def __str__(self):
         return (f"({self.a}) * dpsi/dp + ({self.b}) * psi"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from ._kernels import osc_tail
-from ._value import Value, _init
+from ._value import Value, _set
 from .errors import QuadratureError
 
 _Q_FLOOR = 1e-12        # smallest phase coupling q = |a| b evaluated
@@ -37,7 +37,7 @@ class QuadratureSpec(Value):
             raise ValueError("max_subdivisions, the lobe budget of a "
                              "quadrature, must be at least 10, got "
                              f"{max_subdivisions!r}")
-        _init(self, max_subdivisions)
+        _set(self, "max_subdivisions", max_subdivisions)
 
 
 def sin_phase_integral(a: float, b: float,

@@ -35,7 +35,7 @@ import math
 import re
 from fractions import Fraction
 
-from ._value import Value, _init
+from ._value import Value, _set
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -58,7 +58,7 @@ class ParamSymbol(Value):
             raise ScalarError(f"invalid parameter name {name!r}")
         if name == "i":
             raise ScalarError('"i" is reserved for the imaginary unit')
-        _init(self, name)
+        _set(self, "name", name)
 
     def __str__(self):
         return self.name

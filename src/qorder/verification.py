@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._value import Value, _init
+from ._value import Value, _set
 from .bessel import bessel_first_zero, bessel_j
 from .coordinate import (ORDER_SCAN_GRID, CoordinateEigenfunction,
                          ResidualReport, _EPS, coordinate_ode_residual,
@@ -38,7 +38,9 @@ class MomentumEigenfunction(Value):
         if not cmath.isfinite(N):
             raise ValueError("domain error: MomentumEigenfunction needs "
                              f"a finite N, got N={N!r}")
-        _init(self, E, hbar, N)
+        _set(self, "E", E)
+        _set(self, "hbar", hbar)
+        _set(self, "N", N)
 
     def value(self, p: float) -> complex:
         if p == 0:
@@ -71,7 +73,8 @@ class Reconstruction(Value):
     __slots__ = _fields = ("value", "abs_error")
 
     def __init__(self, value: complex, abs_error: float):
-        _init(self, value, abs_error)
+        _set(self, "value", value)
+        _set(self, "abs_error", abs_error)
 
 
 def fourier_reconstruct_detailed(psi: MomentumEigenfunction, x: float,

@@ -3,9 +3,11 @@ equality only within a class, hashes and the ``Name(field=value, ...)``
 repr, each pinned to what the classes did as dataclasses."""
 
 import copy
+import dataclasses
 import inspect
 import math
 import pickle
+import pprint
 from fractions import Fraction
 
 import pytest
@@ -219,3 +221,18 @@ def test_copies_and_pickles_are_equal(cls, args, text):
         assert type(twin) is cls
         assert twin == value
         assert repr(twin) == text
+
+
+@pytest.mark.parametrize("cls, args, text", VALUES, ids=IDS)
+def test_dataclasses_functions_accept_the_values(cls, args, text):
+    value = cls(*args)
+    assert dataclasses.is_dataclass(value)
+    names = _fields(value)
+    assert [f.name for f in dataclasses.fields(value)] == names
+    assert dataclasses.replace(value) == value
+    changed = dataclasses.replace(value, **{names[0]: args[0]})
+    assert type(changed) is cls and repr(changed) == text
+    assert list(dataclasses.asdict(value)) == names
+    # pprint reads the dataclass parameters of a long repr
+    assert pprint.pformat(value, width=20) == text
+    assert value.__dataclass_params__.frozen is (cls is not ParseError)
