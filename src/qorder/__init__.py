@@ -18,10 +18,10 @@ _LAZY = {name: module for module, names in (
     ("scalars", ("HBAR", "I", "ONE", "ZERO", "ParamSymbol", "ScalarError",
                  "ScalarExpr")),
     ("exponents", ("ExponentExpr",)),
-    ("operators", ("BaseKind", "Factor", "OperatorExpr", "OperatorWord",
-                   "func_power", "p_power", "x_power")),
+    ("operators", ("BaseKind", "Convention", "Factor", "OperatorExpr",
+                   "OperatorWord", "func_power", "p_power", "x_power")),
     ("parser", ("parse_operator", "print_operator")),
-    ("ordering", ("AmbiguityReport", "Convention", "NormalForm",
+    ("ordering", ("AmbiguityReport", "NormalForm",
                   "ODEDescriptor", "build_two_sided", "detect_ambiguity",
                   "hermitian_conjugate", "hermitize", "momentum_rep_ode",
                   "normal_order")),

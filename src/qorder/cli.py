@@ -7,9 +7,10 @@ process that SIGPIPE ended), which ends the run with no message.  Data
 goes to stdout, diagnostics to stderr.
 Each command imports only the layer it uses and catches every layer's
 errors from :mod:`qorder.errors`: ``normal-order`` and the symbolic
-``verify`` suites load no numeric module, ``order-scan`` and ``solve``
-no parser or ordering engine, and only ``solve`` and ``verify``'s
-``eq11`` rows load numpy, for the lobe quadrature.
+``verify`` suites load no numeric module, ``order-scan``, ``solve``
+and ``verify --identity eq11`` no parser or ordering engine, and only
+``solve`` and ``verify``'s ``eq11`` rows load numpy, for the lobe
+quadrature.
 """
 
 from __future__ import annotations

@@ -67,6 +67,8 @@ class ExponentExpr(Value):
 
     # -- arithmetic -----------------------------------------------------
     def _combine(self, other: "ExponentExpr", sign: int) -> "ExponentExpr":
+        if not self.linear and not other.linear:
+            return ExponentExpr(_rational(self.const + sign * other.const))
         terms = dict(self.linear)
         for name, coeff in other.linear:
             terms[name] = terms.get(name, 0) + sign * coeff

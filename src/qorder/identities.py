@@ -12,9 +12,7 @@ from __future__ import annotations
 import re
 
 from ._value import Value, _set
-from .operators import OperatorExpr
-from .ordering import Convention, detect_ambiguity, hermitize, normal_order
-from .parser import parse_operator, print_operator
+from .operators import Convention, OperatorExpr
 
 COORDINATE, MOMENTUM = Convention.COORDINATE, Convention.MOMENTUM
 
@@ -110,6 +108,8 @@ def check(row) -> tuple[bool, str]:
         from .verification import verify_integral_identity
         report = verify_integral_identity(row.a, row.b)
         return report.passed, f"max residual {report.max_residual:.3e}"
+    from .ordering import detect_ambiguity, hermitize, normal_order
+    from .parser import parse_operator, print_operator
     op = parse_operator(row.text)
     nf = normal_order(hermitize(op) if row.hermitize else op, row.convention)
     surviving = tuple(

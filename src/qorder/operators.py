@@ -18,6 +18,13 @@ from .scalars import ScalarExpr, ScalarError, ONE
 _RESERVED_FUNC_NAMES = {"x", "p", "i", "hbar"}
 
 
+class Convention(enum.Enum):
+    """Which operator a normal form moves rightmost; the ordering engine
+    re-exports it as ``qorder.ordering.Convention``."""
+    COORDINATE = "coordinate"   # all p factors rightmost
+    MOMENTUM = "momentum"       # all x factors rightmost
+
+
 class BaseKind(enum.Enum):
     X = "x"
     P = "p"

@@ -6,40 +6,39 @@ factor to the right of all momentum factors (momentum convention).  It
 is one fold: each word is read from right to left into a dict from
 (carrier, m) to a coefficient, where the carrier is the commuting block
 of x-, f- or p-powers, keyed by base, and m is the power of the moving
-operator M.  A carrier factor adds its exponent to its base; one unit
-of M is the generalized Leibniz step (Wilcox, J. Math. Phys. 8, 962
-(1967))
+operator M.  A carrier factor adds its exponent to its base; a power
+M^n moves past the carrier in one step of the generalized Leibniz rule
+(Wilcox, J. Math. Phys. 8, 962 (1967))
 
-    M . C M^m = C M^(m+1) + c (dC) M^m,    c = -i hbar (M = p), +i hbar (M = x)
+    M^n C M^m = sum_k C(n,k) c^k (d^k C) M^(m+n-k),
+    c = -i hbar (M = p), +i hbar (M = x)
 
-where dC is the derivative of the carrier monomial: each base B^s
-gives s B^(s-1), times f^(d+1) when B is an abstract f^(d).  Like terms
-merge after every step.  The carrier exponents s are any affine
-exponents; the moving operator's own exponent must be a nonnegative
-integer, taken one unit at a time.  The rules hold on the dense domain
-of smooth test functions, which is the justification for taking them as
-axioms for symbolic s; the monomial test-function oracle in the test
-suite checks them independently for integer exponents.
+where d is the derivative of a carrier monomial: each base B^s gives
+s B^(s-1), times f^(d+1) when B is an abstract f^(d).  d is linear, so
+it acts on the whole state at once: layer k + 1 is d of layer k, like
+terms merged, and the layers stop at the first empty one or at k = n.
+So ``p^1000000000 * x`` takes two layers, while ``p^N * x^a`` with a
+symbolic ``a`` has N + 1 output words, and its cost follows the size of
+that output.  The carrier exponents s are any affine exponents; the
+moving operator's own exponent must be a nonnegative integer.  The
+rules hold on the dense domain of smooth test functions, which is the
+justification for taking them as axioms for symbolic s; the monomial
+test-function oracle in the test suite checks them independently for
+integer exponents.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 from fractions import Fraction
 
 from ._value import Value, _set
 from .errors import OrderingError
 from .exponents import ExponentExpr, ONE_EXP
-from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
-                        p_power, x_power)
+from .operators import (BaseKind, Convention, Factor, OperatorExpr,
+                        OperatorWord, p_power, x_power)
 from .parser import _factor_text, print_operator
-from .scalars import HBAR, I, ParamSymbol, ScalarExpr
-
-
-class Convention(enum.Enum):
-    COORDINATE = "coordinate"   # all p factors rightmost
-    MOMENTUM = "momentum"       # all x factors rightmost
+from .scalars import HBAR, I, ONE, ParamSymbol, ScalarExpr
 
 
 class NormalForm(Value):
@@ -126,9 +125,10 @@ def _merge(acc: dict, key, coeff: ScalarExpr) -> None:
 def _fold_word(word: OperatorWord, convention: Convention) -> dict:
     """{(carrier, m): coefficient} of one word, read right to left.
 
-    A carrier factor multiplies every carrier; one unit of the moving
-    operator M gives M C M^m = C M^(m+1) + c (dC) M^m.  Like terms merge
-    after every step.
+    A carrier factor multiplies every carrier.  A moving power M^n adds
+    C(n,k) c^k times layer k to the terms at M^(m+n-k), where layer 0 is
+    the state and layer k+1 is d of layer k, like terms merged; the
+    layers stop at the first empty one or at k = n.
     """
     moving, c = _moving_kind(convention), _STEP[convention]
     state = {((), 0): word.coefficient}
@@ -138,13 +138,24 @@ def _fold_word(word: OperatorWord, convention: Convention) -> dict:
             state = {(_times_base(carrier, key, f.exponent), m): coeff
                      for (carrier, m), coeff in state.items()}
             continue
-        for _ in range(f.exponent.as_int()):
-            stepped: dict = {}
-            for (carrier, m), coeff in state.items():
-                _merge(stepped, (carrier, m + 1), coeff)
+        n = f.exponent.as_int()
+        moved = {(carrier, m + n): coeff
+                 for (carrier, m), coeff in state.items()}
+        layer, binomial, step = state, 1, ONE
+        for k in range(1, n + 1):
+            deeper: dict = {}
+            for (carrier, m), coeff in layer.items():
                 for s, term in _leibniz(carrier):
-                    _merge(stepped, (term, m), coeff * c * s)
-            state = {k: v for k, v in stepped.items() if not v.is_zero}
+                    _merge(deeper, (term, m), coeff * s)
+            layer = {key: v for key, v in deeper.items() if not v.is_zero}
+            if not layer:
+                break
+            binomial = binomial * (n - k + 1) // k
+            step = step * c
+            weight = ScalarExpr(binomial) * step
+            for (term, m), coeff in layer.items():
+                _merge(moved, (term, m + n - k), coeff * weight)
+        state = {key: v for key, v in moved.items() if not v.is_zero}
     return state
 
 

@@ -32,9 +32,12 @@ from typing import NamedTuple
 
 from .errors import ParseError, SourceSpan
 from .exponents import ONE_EXP, ExponentExpr
-from .operators import (BaseKind, Factor, OperatorExpr, func_power,
-                        p_power, x_power)
-from .scalars import ScalarExpr, ScalarError, _rational
+from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
+                        func_power, p_power, x_power)
+from .scalars import HBAR, I, ONE, ScalarExpr, ScalarError, _rational
+
+# the unit factors of the x and p atoms, shared by every parse
+_X, _P = x_power(1), p_power(1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,19 @@ class _Parser:
         return total
 
     def term(self) -> OperatorExpr:
-        product = self.factor()
+        """One word while every factor is one word: the coefficients
+        multiply and the factors join; a sum of words multiplies out."""
+        coeff, factors = ONE, []
+        rhs = self.factor()
+        while len(rhs.words) == 1:
+            word = rhs.words[0]
+            coeff = coeff * word.coefficient
+            factors.extend(word.factors)
+            if self.cur.kind != "*":
+                return OperatorExpr((OperatorWord(coeff, tuple(factors)),))
+            self.advance()
+            rhs = self.factor()
+        product = OperatorExpr((OperatorWord(coeff, tuple(factors)),)) * rhs
         while self.cur.kind == "*":
             self.advance()
             product = product * self.factor()
@@ -245,13 +260,13 @@ class _Parser:
             self.advance()
             name = tok.text
             if name == "x":
-                return OperatorExpr.from_factors(x_power(1))
+                return OperatorExpr.from_factors(_X)
             if name == "p":
-                return OperatorExpr.from_factors(p_power(1))
+                return OperatorExpr.from_factors(_P)
             if name == "i":
-                return OperatorExpr.identity(ScalarExpr.i())
+                return OperatorExpr.identity(I)
             if name == "hbar":
-                return OperatorExpr.identity(ScalarExpr.hbar())
+                return OperatorExpr.identity(HBAR)
             deriv = 0
             while self.cur.kind == "'":
                 self.advance()

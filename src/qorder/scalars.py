@@ -417,6 +417,10 @@ class ScalarExpr:
         return self._coerce(other)._add(self, _MINUS_UNIT)
 
     def _mul(self, other) -> "ScalarExpr":
+        if self.is_one:
+            return other
+        if other.is_one:
+            return self
         if self._den is None and other._den is None:
             return _make(_pmul(self._num, other._num))
         d1, d2 = self._den or _ONE_POLY, other._den or _ONE_POLY

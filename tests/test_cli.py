@@ -39,6 +39,16 @@ def test_normal_order_two_sided_family():
     assert proc.stdout == "x * p^2 - i * hbar * p + a * g * hbar^2 * x^-1\n"
 
 
+def test_normal_order_unbounded_moving_power():
+    """A moving power of a billion is one Leibniz step, not a billion."""
+    proc = subprocess.run([sys.executable, "-m", "qorder.cli", "normal-order",
+                           "p^1000000000 * x"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("x * p^1000000000"
+                           " - 1000000000 * i * hbar * p^999999999\n")
+
+
 def test_normal_order_momentum_rejects_symbolic_power():
     proc = run_cli("normal-order", "x^q * p", "--rep", "momentum")
     assert proc.returncode == 3
@@ -622,9 +632,11 @@ def test_numeric_commands_import_numpy():
 def test_each_command_loads_only_its_layer():
     """The symbolic commands load no dataclasses, and with it no inspect;
     the numeric ones load neither the parser, the ordering engine nor the
-    identity table.  ``import qorder.cli`` still loads qorder.scalars,
-    whose ScalarExpr the benchmark's traced CLI runs wrap.  The probe
-    sees each of these modules where a command does load it."""
+    identity table, and the numeric ``verify`` suite eq11 reads the
+    identity table without the parser or the ordering engine.
+    ``import qorder.cli`` still loads qorder.scalars, whose ScalarExpr
+    the benchmark's traced CLI runs wrap.  The probe sees each of these
+    modules where a command does load it."""
     symbolic = [("normal-order", "p * x", "--format", fmt)
                 for fmt in ("human", "json", "csv")]
     symbolic += [("verify", "--identity", name) for name in _SYMBOLIC_SUITES]
@@ -640,6 +652,10 @@ def test_each_command_loads_only_its_layer():
         assert not loaded & {"qorder.parser", "qorder.ordering",
                              "qorder.identities"}, args
     assert "inspect" in loaded      # numpy loads it
+    proc, loaded = run_probed("verify", "--identity", "eq11")
+    assert proc.returncode == 0, proc.stderr
+    assert not loaded & {"qorder.parser", "qorder.ordering"}
+    assert {"qorder.identities", "numpy"} <= loaded
     code = "import sys, qorder.cli; sys.exit('qorder.scalars' not in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=600)

@@ -9,9 +9,10 @@ import sympy
 
 from qorder.exponents import ExponentExpr
 from qorder.identities import IDENTITIES
-from qorder.operators import OperatorExpr, func_power, p_power, x_power
-from qorder.ordering import (Convention, OrderingError, build_two_sided,
-                             hermitian_conjugate, hermitize,
+from qorder.operators import Factor, OperatorExpr, func_power, p_power, x_power
+from qorder.ordering import (_KINDS, _STEP, Convention, OrderingError,
+                             _leibniz, _merge, _moving_kind, _times_base,
+                             build_two_sided, hermitian_conjugate, hermitize,
                              momentum_rep_ode, normal_order)
 from qorder.parser import parse_operator, print_operator
 from qorder.scalars import ScalarExpr
@@ -218,6 +219,78 @@ def test_hermitized_words_stay_on_ints():
     for word in nf.words:
         for re_im in word.coefficient._num.values():
             assert all(type(part) is int for part in re_im), word
+
+
+def _unit_step_fold(word, convention):
+    """The fold as it was before a moving power moved in one step: one
+    Leibniz step M C M^m = C M^(m+1) + c (dC) M^m per unit of the moving
+    operator M, like terms merged after every unit."""
+    moving, c = _moving_kind(convention), _STEP[convention]
+    state = {((), 0): word.coefficient}
+    for f in reversed(word.factors):
+        if f.kind is not moving:
+            state = {(_times_base(carrier, f.base_key, f.exponent), m): coeff
+                     for (carrier, m), coeff in state.items()}
+            continue
+        for _ in range(f.exponent.as_int()):
+            stepped = {}
+            for (carrier, m), coeff in state.items():
+                _merge(stepped, (carrier, m + 1), coeff)
+                for s, term in _leibniz(carrier):
+                    _merge(stepped, (term, m), coeff * c * s)
+            state = {k: v for k, v in stepped.items() if not v.is_zero}
+    return state
+
+
+def _unit_step_normal_form(e, convention):
+    """{factors: coefficient} of the normal form of e by the unit-step
+    fold."""
+    moving_power = p_power if convention is Convention.COORDINATE else x_power
+    merged = {}
+    for word in e.words:
+        for key, coeff in _unit_step_fold(word, convention).items():
+            _merge(merged, key, coeff)
+    out = {}
+    for (carrier, m), coeff in merged.items():
+        if not coeff.is_zero:
+            factors = tuple(Factor(_KINDS[k[0]], s, k[1], k[2])
+                            for k, s in carrier)
+            out[factors + ((moving_power(m),) if m else ())] = coeff
+    return out
+
+
+def test_whole_power_step_matches_unit_steps():
+    """Each moving power in one Leibniz step gives the normal form of one
+    step per unit, on seeded random words in both conventions and on
+    p^n x^s and p^n f(x)^2 for n <= 8."""
+    rng = random.Random(20261020)
+    cases = []
+    for convention, pool in ((Convention.COORDINATE, _FACTOR_POOL),
+                             (Convention.MOMENTUM, _MOMENTUM_POOL)):
+        cases += [(_random_word(rng, pool), convention) for _ in range(150)]
+    for n in range(9):
+        for text in (f"p^{n} * x^s", f"p^{n} * f(x)^2",
+                     f"x^a * p^{n} * x^b * p * f(x)^c"):
+            cases.append((parse_operator(text), Convention.COORDINATE))
+        cases.append((parse_operator(f"x^{n} * p^s * x^2"),
+                      Convention.MOMENTUM))
+    for e, convention in cases:
+        nf = normal_order(e, convention)
+        got = {w.factors: w.coefficient for w in nf.words}
+        assert got == _unit_step_normal_form(e, convention), (
+            print_operator(e), convention)
+
+
+def test_unbounded_moving_powers():
+    """A moving power of a billion normal-orders in one step to its two
+    words, in each convention."""
+    n = 10 ** 9
+    nf = coord(f"p^{n} * x")
+    assert len(nf.words) == 2
+    assert str(nf) == f"x * p^{n} - {n} * i * hbar * p^{n - 1}"
+    nf = mom(f"x^{n} * p")
+    assert len(nf.words) == 2
+    assert str(nf) == f"p * x^{n} + {n} * i * hbar * x^{n - 1}"
 
 
 def test_linearity():
