@@ -22,7 +22,7 @@ _LAZY = {name: module for module, names in (
                    "OperatorWord", "func_power", "p_power", "x_power")),
     ("parser", ("parse_operator", "print_operator")),
     ("ordering", ("AmbiguityReport", "NormalForm",
-                  "ODEDescriptor", "build_two_sided", "detect_ambiguity",
+                  "ODEDescriptor", "detect_ambiguity",
                   "hermitian_conjugate", "hermitize", "momentum_rep_ode",
                   "normal_order")),
     ("errors", ("BesselDomainError", "OrderingError", "ParseError",

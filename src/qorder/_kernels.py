@@ -1,28 +1,28 @@
 """The oscillatory lobe kernel, the one numpy code in the package.
 
-``osc_tail`` integrates sin(z cosh t) or sin(z sinh t) over t >= 0, the
-Mehler-Sonine form of every oscillatory integral in
-:mod:`qorder.quadrature`.  The head [0, first zero] is smooth and is
-summed on two panel counts, whose difference is its error.  Beyond it
-the integral runs lobe by lobe between the closed-form zeros of the
-phase, each lobe with one 24-point Gauss-Legendre panel: the lobe-wise
-summation with extrapolation of QUADPACK's QAWF (Piessens et al. 1983).
-The head panels of both counts and one block of at most 24 lobes are
-one (nodes x intervals) array, so one numpy evaluation integrates them
-all.  The alternating lobe sums are accelerated with Levin's u-transform
-(Levin, Int. J. Comput. Math. B3, 371 (1973); Fessler, Ford & Smith,
-ACM TOMS 9, 346 (1983)), with the remainder estimate omega_k = (k + 1)
-a_k for lobe a_k.  Its coefficients form a constant lower-triangular
-matrix built at import, so the estimates after 5, 6, ... lobes are two
-matrix-vector products.  Everything else that does not depend on z is
-built at import too (the Gauss-Legendre nodes and weights, the indices
-of the zeros and of the remainder estimates), and the head grid of each
-panel count is cached on first use; all of them are read-only.  A call
-makes one integrand evaluation and one pair of Levin matrix-vector
-products, and scans the at most 20 estimates for the stop in plain
-Python.  The transform settles within the block for every z from 2e-6
-to 1e154 (at most 19 lobes in tests/test_kernels.py); a call that does
-not is reported unconverged, never continued.
+``osc_tail`` integrates sin(z cosh t) over t >= 0, the Mehler-Sonine
+form of every oscillatory integral in :mod:`qorder.quadrature`.  The
+head [0, first zero] is smooth and is summed on two panel counts, whose
+difference is its error.  Beyond it the integral runs lobe by lobe
+between the closed-form zeros of the phase, each lobe with one 24-point
+Gauss-Legendre panel: the lobe-wise summation with extrapolation of
+QUADPACK's QAWF (Piessens et al. 1983).  The head panels of both counts
+and one block of at most 24 lobes are one (nodes x intervals) array, so
+one numpy evaluation integrates them all.  The alternating lobe sums are
+accelerated with Levin's u-transform (Levin, Int. J. Comput. Math. B3,
+371 (1973); Fessler, Ford & Smith, ACM TOMS 9, 346 (1983)), with the
+remainder estimate omega_k = (k + 1) a_k for lobe a_k.  Its coefficients
+form a constant lower-triangular matrix built at import, so the
+estimates after 5, 6, ... lobes are two matrix-vector products.
+Everything else that does not depend on z is built at import too (the
+Gauss-Legendre nodes and weights, the indices of the zeros and of the
+remainder estimates), and the head grid of each panel count is cached on
+first use; all of them are read-only.  A call makes one integrand
+evaluation and one pair of Levin matrix-vector products, and scans the
+at most 20 estimates for the stop in plain Python.  The transform
+settles within the block for every z from 2e-6 to 1e154 (at most 16
+lobes in tests/test_kernels.py); a call that does not is reported
+unconverged, never continued.
 ``osc_tail`` returns Python ``float``/``int``.
 """
 
@@ -82,30 +82,25 @@ def _head_fractions(panels):
     return coarse, fine
 
 
-def _zeros(j, z, cosh):
-    """Zero number j >= 1 of sin(z g(t)) on t > 0, for a scalar or an
-    array j.  For cosh, z cosh t = z + 2 z sinh(t/2)^2 and the zeros sit
-    where the second term is j pi - (z mod pi), so no j pi close to a
-    huge z is ever formed."""
-    if cosh:
-        return 2.0 * np.arcsinh(np.sqrt(
-            0.5 * (j * math.pi - math.fmod(z, math.pi)) / z))
-    return np.arcsinh(j * math.pi / z)
+def _zeros(j, z):
+    """Zero number j >= 1 of sin(z cosh t) on t > 0, for an array j.
+    z cosh t = z + 2 z sinh(t/2)^2 and the zeros sit where the second
+    term is j pi - (z mod pi), so no j pi close to a huge z is ever
+    formed."""
+    return 2.0 * np.arcsinh(np.sqrt(
+        0.5 * (j * math.pi - math.fmod(z, math.pi)) / z))
 
 
-def _lobe_integrals(lowers, uppers, z, cosh):
-    """One Gauss-Legendre panel per interval [lowers[i], uppers[i]];
-    node sums run left to right."""
+def _lobe_integrals(lowers, uppers, z):
+    """One Gauss-Legendre panel of sin(z cosh t) per interval
+    [lowers[i], uppers[i]]; node sums run left to right."""
     mid = 0.5 * (lowers + uppers)
     half = 0.5 * (uppers - lowers)
     t = mid + half * _NODE_COLUMN
-    if cosh:
-        # sin(z + phi) with phi = z (cosh t - 1) formed without rounding z
-        s = np.sinh(0.5 * t)
-        phi = z * (2.0 * s * s)
-        f = math.sin(z) * np.cos(phi) + math.cos(z) * np.sin(phi)
-    else:
-        f = np.sin(z * np.sinh(t))
+    # sin(z + phi) with phi = z (cosh t - 1) formed without rounding z
+    s = np.sinh(0.5 * t)
+    phi = z * (2.0 * s * s)
+    f = math.sin(z) * np.cos(phi) + math.cos(z) * np.sin(phi)
     terms = _WEIGHT_COLUMN * f
     # over a single column numpy would sum pairwise; cumsum is sequential
     acc = terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms)[-1:]
@@ -141,9 +136,8 @@ def _levin_stop(estimates):
     return None, max(last)
 
 
-def osc_tail(z, cosh, max_lobes=_BLOCK):
-    """integral over [0, inf) of sin(z cosh t) (cosh true) or of
-    sin(z sinh t) (cosh false), for finite z >= 1e-300.
+def osc_tail(z, max_lobes=_BLOCK):
+    """integral over [0, inf) of sin(z cosh t), for finite z >= 1e-300.
 
     Returns (value, error_estimate, converged_flag, lobes_used) as
     (float, float, int, int).  The head [0, first zero] is summed on
@@ -157,8 +151,8 @@ def osc_tail(z, cosh, max_lobes=_BLOCK):
     unconverged, with the lobes of the block as its count.
     """
     z = float(z)
-    zeros = _zeros(_ZERO_INDEX[:min(_BLOCK, max(int(max_lobes), 0)) + 1],
-                   z, cosh)
+    zeros = _zeros(
+        _ZERO_INDEX[:min(_BLOCK, max(int(max_lobes), 0)) + 1], z)
     end = float(zeros[0])
     panels = max(math.ceil(end), 1)
     coarse_fractions, fine_fractions = _head_fractions(panels)
@@ -166,7 +160,7 @@ def osc_tail(z, cosh, max_lobes=_BLOCK):
     fine = end * fine_fractions
     values = _lobe_integrals(
         np.concatenate((coarse[:-1], fine[:-1], zeros[:-1])),
-        np.concatenate((coarse[1:], fine[1:], zeros[1:])), z, cosh)
+        np.concatenate((coarse[1:], fine[1:], zeros[1:])), z)
     head = float(values[panels:3 * panels].sum())
     head_err = abs(head - float(values[:panels].sum()))
     lobes = values[3 * panels:]

@@ -227,21 +227,6 @@ def hermitize(e: OperatorExpr) -> OperatorExpr:
     return (e + hermitian_conjugate(e)).scaled(ScalarExpr(Fraction(1, 2)))
 
 
-def build_two_sided(alpha, beta, gamma) -> OperatorExpr:
-    """Symmetrized two-momentum word (x^a p x^b p x^c + x^c p x^b p x^a)/2.
-
-    The exponents must sum to one exactly.
-    """
-    a, b, c = (ExponentExpr._coerce(v) for v in (alpha, beta, gamma))
-    if (a + b + c) != ExponentExpr.number(1):
-        raise OrderingError("exponent constraint alpha+beta+gamma=1 violated")
-    left = OperatorExpr.from_factors(
-        x_power(a), p_power(1), x_power(b), p_power(1), x_power(c))
-    right = OperatorExpr.from_factors(
-        x_power(c), p_power(1), x_power(b), p_power(1), x_power(a))
-    return (left + right).scaled(ScalarExpr(Fraction(1, 2)))
-
-
 def detect_ambiguity(n: NormalForm, free) -> AmbiguityReport:
     """Flag words whose coefficients depend on the free ordering parameters."""
     params = tuple(p if isinstance(p, ParamSymbol) else ParamSymbol(p)

@@ -4,14 +4,16 @@ The integrands sin(a u + b/u)/u, sin(a u)cos(b/u)/u and
 sin(b/u)cos(a u)/u oscillate infinitely fast at u -> 0+ and decay only
 like 1/u at infinity, so plain adaptive quadrature diverges at both
 ends.  All three rest on one integral, Phi(a, b) = integral of
-sin(a u + b/u) du / u.  With u = sqrt(b/|a|) e^t and z = 2 sqrt(|a| b)
-the phase becomes z cosh t for a > 0 and -z sinh t for a < 0 (the
-Mehler-Sonine form, DLMF 10.9.9; Watson, *Theory of Bessel Functions*
-6.21), so Phi is a sum of half-line integrals of sin(z cosh t) or
-sin(z sinh t), each integrated lobe by lobe between the closed-form
-zeros of its phase (see :mod:`qorder._kernels`), all in one block of at
-most 24 lobes.  A half-line integral that does not settle within its
-block raises :class:`QuadratureError`.
+sin(a u + b/u) du / u.  For a, b > 0, u = sqrt(b/a) e^t and
+z = 2 sqrt(a b) turn the phase into z cosh t (the Mehler-Sonine form,
+DLMF 10.9.9; Watson, *Theory of Bessel Functions* 6.21), so Phi is
+twice the half-line integral of sin(z cosh t), summed lobe by lobe
+between the closed-form zeros of its phase (see :mod:`qorder._kernels`)
+in one block of at most 24 lobes.  For a < 0 < b, Phi is 0 exactly:
+the substitution u -> b/(|a| u) maps Phi(a, b) to -Phi(a, b) (in the
+same variables the phase is -z sinh t, odd in t), so nothing is
+integrated there.  A half-line integral that does not settle within
+its block raises :class:`QuadratureError`.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ def sin_phase_integral(a: float, b: float,
 
     The two sectors u > sqrt(b/|a|) and u < sqrt(b/|a|) are the half-lines
     t > 0 and t < 0.  For a > 0 both are I = integral_0^inf sin(z cosh t)
-    dt, so Phi = 2 I (= pi J_0(z)).  For a < 0 they are -I and +I with
-    I = integral_0^inf sin(z sinh t) dt, and Phi is the computed I - I
-    with error 2 err(I).  For b < 0, Phi(a, b) = -Phi(-a, -b) exactly,
-    with the same error.  Phi(0, b) is the limit from a > 0, and Phi(a, 0)
-    the limit from b > 0.
+    dt, so Phi = 2 I (= pi J_0(z)).  For a < 0 they cancel, and Phi is
+    0.0 with the error 1e-15, the rounding floor of every computed Phi.
+    For b < 0, Phi(a, b) = -Phi(-a, -b) exactly, with the same error.
+    Phi(0, b) is the limit from a > 0, and Phi(a, 0) the limit from
+    b > 0.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("domain error: sin_phase_integral needs finite a "
@@ -63,6 +65,8 @@ def sin_phase_integral(a: float, b: float,
     if b < 0.0:     # sin(a u + b/u) = -sin(-a u - b/u)
         value, err = sin_phase_integral(-a, -b, spec)
         return -value, err
+    if a < 0.0:     # u -> b/(|a| u) maps Phi(a, b) to -Phi(a, b)
+        return 0.0, 1e-15
     if a == 0.0 and b == 0.0:
         return 0.0, 0.0
     pad = 0.0
@@ -73,17 +77,13 @@ def sin_phase_integral(a: float, b: float,
         # points included, Phi is taken at q = 1e-12, which moves it by
         # less than pi * 1e-12
         q, pad = _Q_FLOOR, 4.0 * _Q_FLOOR
-    z, cosh = 2.0 * math.sqrt(q), a >= 0.0
-    value, err, converged, lobes = osc_tail(z, cosh, spec.max_subdivisions)
+    z = 2.0 * math.sqrt(q)
+    value, err, converged, lobes = osc_tail(z, spec.max_subdivisions)
     if not converged:
         raise QuadratureError(
-            f"quadrature failed to converge: z={z!r}, "
-            f"{'cosh' if cosh else 'sinh'} family, {lobes} lobes",
+            f"quadrature failed to converge: z={z!r}, {lobes} lobes",
             value=value, error=err, lobes=lobes)
-    if cosh:
-        return 2.0 * value, 2.0 * err + pad
-    outer, inner = -value, value     # the sectors t > 0 and t < 0
-    return outer + inner, 2.0 * err + pad
+    return 2.0 * value, 2.0 * err + pad
 
 
 def sin_cos_integral(a: float, b: float, spec: QuadratureSpec,

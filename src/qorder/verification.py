@@ -2,9 +2,8 @@
 integral identities, and ODE residuals in both representations.
 
 The coordinate side (its eigenfunction, ODE residual and order fit) is
-defined in :mod:`qorder.coordinate` and bound here under the same
-names; the momentum side and the reconstruction need the lobe
-quadrature, and with it numpy."""
+:mod:`qorder.coordinate`; the momentum side and the reconstruction need
+the lobe quadrature, and with it numpy."""
 
 from __future__ import annotations
 
@@ -13,9 +12,7 @@ import math
 
 from ._value import Value, _set
 from .bessel import bessel_first_zero, bessel_j
-from .coordinate import (ORDER_SCAN_GRID, CoordinateEigenfunction,
-                         ResidualReport, _EPS, coordinate_ode_residual,
-                         determine_bessel_order, order_residual)
+from .coordinate import ResidualReport, _EPS
 from .quadrature import QuadratureError, QuadratureSpec, sin_cos_integral, \
     sin_phase_integral
 
@@ -85,9 +82,8 @@ def fourier_reconstruct_detailed(psi: MomentumEigenfunction, x: float,
     Sector-split at p = 0 with the symmetric principal-value pairing;
     the combined integrand is 2 i N sin(E/(hbar p) + p x / hbar) / p
     over (0, inf), so psi(x) = 2 i N Phi(x / hbar, E / hbar) for every
-    finite x (see :func:`qorder.quadrature.sin_phase_integral`).  For
-    x < 0 that is the computed I - I of two sinh half-line integrals,
-    with its bound.
+    finite x (see :func:`qorder.quadrature.sin_phase_integral`), which
+    is 0 for x < 0.
     """
     if not math.isfinite(x):
         raise ValueError("domain error: fourier_reconstruct_detailed needs "

@@ -13,13 +13,13 @@ import mpmath
 import sympy
 
 from qorder.bessel import bessel_j, bessel_j_derivatives
+from qorder.coordinate import determine_bessel_order, order_residual
 from qorder.identities import IDENTITIES, check, suite
 from qorder.ordering import Convention, hermitize, normal_order
 from qorder.parser import parse_operator
 from qorder.quadrature import QuadratureSpec, sin_cos_integral
-from qorder.verification import (MomentumEigenfunction,
-                                 determine_bessel_order, fourier_reconstruct,
-                                 momentum_ode_residual, order_residual,
+from qorder.verification import (MomentumEigenfunction, fourier_reconstruct,
+                                 momentum_ode_residual,
                                  reconstruction_first_zero)
 
 from oracles import X, oracle_equal

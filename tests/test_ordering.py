@@ -12,15 +12,13 @@ from qorder.identities import IDENTITIES
 from qorder.operators import Factor, OperatorExpr, func_power, p_power, x_power
 from qorder.ordering import (_KINDS, _STEP, Convention, OrderingError,
                              _leibniz, _merge, _moving_kind, _times_base,
-                             build_two_sided, hermitian_conjugate, hermitize,
-                             momentum_rep_ode, normal_order)
+                             hermitian_conjugate, hermitize, momentum_rep_ode,
+                             normal_order)
 from qorder.parser import parse_operator, print_operator
 from qorder.scalars import ScalarExpr
 
 from oracles import X, oracle_equal, scalar_diff
 
-ALPHA = ExponentExpr.param("alpha")
-GAMMA = ExponentExpr.param("gamma")
 S = ExponentExpr.param("s")
 ROWS = {row.id: row for row in IDENTITIES}
 
@@ -80,9 +78,7 @@ def test_hermitize_fixed_point():
 
 def test_two_sided_word_structure():
     """Exactly three words with coefficients 1, -i hbar, alpha gamma hbar^2."""
-    beta = ExponentExpr.number(1) - ALPHA - GAMMA
-    nf = normal_order(build_two_sided(ALPHA, beta, GAMMA),
-                      Convention.COORDINATE)
+    nf = coord(ROWS["eq14"].text)
     assert nf == coord(ROWS["eq14"].expected)
     assert len(nf.words) == 3
     coeffs = [w.coefficient for w in nf.words]
@@ -91,11 +87,6 @@ def test_two_sided_word_structure():
     assert coeffs[1] == -ScalarExpr.i() * hb
     assert coeffs[2] == (ScalarExpr.param("alpha") * ScalarExpr.param("gamma")
                          * hb * hb)
-
-
-def test_two_sided_constraint():
-    with pytest.raises(OrderingError, match="alpha\\+beta\\+gamma=1"):
-        build_two_sided(ALPHA, ALPHA, ALPHA)
 
 
 # -- error paths --------------------------------------------------------------

@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 from qorder import coordinate
 from qorder._kernels import osc_tail
 from qorder.bessel import bessel_first_zero, bessel_j
+from qorder.coordinate import (ORDER_SCAN_GRID, CoordinateEigenfunction,
+                               coordinate_ode_residual,
+                               determine_bessel_order, order_residual)
 from qorder.quadrature import QuadratureError, QuadratureSpec, \
     sin_cos_integral, sin_phase_integral
-from qorder.verification import (ORDER_SCAN_GRID, CoordinateEigenfunction,
-                                 MomentumEigenfunction, ResidualReport,
-                                 coordinate_ode_residual,
-                                 determine_bessel_order, fourier_reconstruct,
+from qorder.verification import (MomentumEigenfunction, ResidualReport,
+                                 fourier_reconstruct,
                                  fourier_reconstruct_detailed,
-                                 momentum_ode_residual, order_residual,
+                                 momentum_ode_residual,
                                  reconstruction_first_zero,
                                  verify_integral_identity)
 
@@ -108,8 +109,8 @@ def _split(rng, q):
 
 def _assert_phi_bounded(a, b):
     value, err = sin_phase_integral(a, b, SPEC)
-    # a > 0: pi J_0(2 sqrt(ab)); a < 0: the sinh sectors cancel (each
-    # is held against mpmath in test_kernels)
+    # a > 0: pi J_0(2 sqrt(ab)); a < 0: exactly 0 (see
+    # test_phase_integral_vanishes_for_negative_a)
     want = math.pi * j0_oracle(2.0 * math.sqrt(a * b)) if a > 0 else 0.0
     assert abs(value - want) <= err < 1e-10, (a, b, value, want, err)
 
@@ -139,6 +140,52 @@ def test_sin_cos_within_its_bound_for_both_orderings():
             assert abs(value - want) <= err < 1e-10, (a, b, sin_fast)
 
 
+def _phi_by_quadosc(a, b):
+    """Phi(a, b) from mpmath alone, split at the asymmetric point
+    c = 0.37 sqrt(b/|a|): quadosc on [c, inf), and the piece below c
+    mapped by w = 1/u to [1/c, inf).  A split at sqrt(b/|a|) would make
+    the two pieces cancel by the substitution under test."""
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    c = mpmath.mpf("0.37") * mpmath.sqrt(b / abs(a))
+    outer = mpmath.quadosc(lambda u: mpmath.sin(a * u + b / u) / u,
+                           [c, mpmath.inf], omega=abs(a))
+    inner = mpmath.quadosc(lambda w: mpmath.sin(a / w + b * w) / w,
+                           [1 / c, mpmath.inf], omega=b)
+    return outer + inner
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-0.3, 2.5), (-4.0, 0.7),
+                                  (0.3, 2.5)])
+def test_phase_integral_vanishes_for_negative_a(a, b):
+    """u -> b/(|a| u) maps Phi(a, b) to -Phi(a, b) for a < 0 < b, so
+    sin_phase_integral returns 0 there without integrating; mpmath
+    confirms the zero, and pi J_0(2 sqrt(ab)) at a > 0 as a control."""
+    with mpmath.workdps(15):
+        got = _phi_by_quadosc(a, b)
+        want = (mpmath.pi * mpmath.besselj(0, 2 * mpmath.sqrt(a * b))
+                if a > 0 else 0)
+        assert abs(got - want) <= 1e-15, (a, b, got)
+    if a < 0:
+        assert sin_phase_integral(a, b, SPEC) == (0.0, 1e-15)
+
+
+def test_phase_integral_is_exactly_zero_when_ab_is_negative():
+    """Every a b < 0, and a < 0 at b = 0, gives 0.0 with the 1e-15
+    rounding floor; the zero carries the sign of b, as -Phi(-a, -b) does
+    for b < 0.  The two sin_cos_integral orderings then add and subtract
+    that zero, so they agree bit for bit."""
+    rng = random.Random(41)
+    for _ in range(2000):
+        a = 10.0 ** rng.uniform(-300.0, 150.0)
+        b = 10.0 ** rng.uniform(-300.0, 150.0)
+        for args in ((-a, b), (a, -b), (-a, 0.0)):
+            value, err = sin_phase_integral(*args, SPEC)
+            assert (value, err) == (0.0, 1e-15), args
+            assert math.copysign(1.0, value) == math.copysign(1.0, args[1])
+        assert sin_cos_integral(a, b, SPEC, sin_fast=True) \
+            == sin_cos_integral(a, b, SPEC, sin_fast=False), (a, b)
+
+
 def test_sin_phase_degenerate_limits():
     """At a = 0 or b = 0 the sectors are combined before the limit, so the
     value is the continuous limit pi (not the literal pi/2)."""
@@ -148,8 +195,8 @@ def test_sin_phase_degenerate_limits():
     assert sin_phase_integral(0.0, 0.0, SPEC) == (0.0, 0.0)
     with pytest.raises(ValueError, match=r"got a=1\.0, b=-inf"):
         sin_phase_integral(1.0, -math.inf, SPEC)
-    # a < 0 is inside the domain: the two sinh sectors cancel; so is
-    # b < 0, where Phi(1, -1) = -Phi(-1, 1)
+    # a < 0 is inside the domain, where Phi = 0; so is b < 0, where
+    # Phi(1, -1) = -Phi(-1, 1)
     for args in ((-1.0, 1.0), (1.0, -1.0)):
         value, err = sin_phase_integral(*args, SPEC)
         assert abs(value) <= err < 1e-10, args
@@ -173,14 +220,14 @@ def test_sin_cos_rejects_nonfinite_arguments():
 
 
 def test_quadrature_failure_reports_partial_value():
-    """The failure names z, the family and the lobes summed, and carries
-    the partial value and the lobe count."""
+    """The failure names z and the lobes summed, and carries the partial
+    value and the lobe count."""
     tight = QuadratureSpec(max_subdivisions=10)
     with pytest.raises(QuadratureError, match="failed to converge") as exc:
         sin_phase_integral(1.0, 1.0, tight)
     assert exc.value.value is not None
     assert exc.value.lobes == 10
-    assert "z=2.0, cosh family, 10 lobes" in str(exc.value)
+    assert "z=2.0, 10 lobes" in str(exc.value)
 
 
 def test_quadrature_rejects_overflowing_coupling():
@@ -272,8 +319,7 @@ def test_reconstruction_rejects_nonfinite_x():
 
 
 def test_reconstruction_negative_axis_vanishes():
-    """For x < 0 the two sectors are the same sinh half-line integral
-    with opposite signs, so the computed I - I vanishes within its
+    """For x < 0 the two sectors cancel, so psi(x) is 0 within its
     bound."""
     psi = MomentumEigenfunction(E=1.0, hbar=1.0)
     for x in (-0.5, -1.0, -2.0):
@@ -491,7 +537,7 @@ def test_kernel_results_are_python_scalars():
     """numpy scalars from the numpy kernel path must not reach the reports:
     numpy.bool is not JSON serializable, and numpy >= 2 prints
     np.float64(...) where a number is formatted with repr."""
-    result = osc_tail(2.0, True)
+    result = osc_tail(2.0)
     assert [type(v) for v in result] == [float, float, int, int]
     report = verify_integral_identity(1.0, 1.0)
     assert type(report.passed) is bool and report.passed
