@@ -27,15 +27,13 @@ _LAZY = {name: module for module, names in (
                   "normal_order")),
     ("errors", ("BesselDomainError", "OrderingError", "ParseError",
                 "QuadratureError", "SourceSpan")),
-    ("bessel", ("BesselEval", "bessel_first_zero", "bessel_j",
-                "bessel_j_derivatives")),
+    ("bessel", ("BesselEval", "bessel_j", "bessel_j_derivatives")),
     ("quadrature", ("QuadratureSpec", "sin_cos_integral",
                     "sin_phase_integral")),
     ("coordinate", ("CoordinateEigenfunction", "ResidualReport",
                     "coordinate_ode_residual", "determine_bessel_order")),
     ("verification", ("MomentumEigenfunction", "Reconstruction",
-                      "fourier_reconstruct", "fourier_reconstruct_detailed",
-                      "momentum_ode_residual", "reconstruction_first_zero",
+                      "fourier_reconstruct_detailed", "momentum_ode_residual",
                       "verify_integral_identity")),
 ) for name in names}
 

@@ -249,36 +249,3 @@ def bessel_j_derivatives(nu: float, z: float) -> tuple[float, float, float]:
     jmm = _j_any(nu - 2.0, z)[0]
     jpp = _j_any(nu + 2.0, z)[0]
     return j, 0.5 * (jm - jp), 0.25 * (jmm - 2.0 * j + jpp)
-
-
-def bessel_first_zero(nu: float) -> float:
-    """Smallest positive zero of J_nu for 0 <= nu <= 2, by bisection.
-
-    No command calls it: the tests do, and the acceptance tests through
-    ``reconstruction_first_zero``."""
-    if not 0.0 <= nu <= 2.0:
-        raise BesselDomainError(
-            "domain error: bessel_first_zero needs 0 <= nu <= 2, "
-            f"got nu={nu!r}")
-    lo = 1e-6
-    hi = lo
-    step = 0.1
-    flo = _j_any(nu, lo)[0]
-    while True:
-        hi += step
-        fhi = _j_any(nu, hi)[0]
-        if flo * fhi <= 0.0:
-            break
-        lo, flo = hi, fhi
-        if hi > 30.0:
-            raise BesselDomainError("no sign change found")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-13:
-            break
-        fm = _j_any(nu, mid)[0]
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)

@@ -119,5 +119,4 @@ class ExponentExpr(Value):
         return s
 
 
-ZERO_EXP = ExponentExpr.number(0)
 ONE_EXP = ExponentExpr.number(1)

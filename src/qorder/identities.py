@@ -79,8 +79,11 @@ IDENTITIES = (
              "1/2 * (x^alpha * p * x^(1-alpha) * p * x^0"
              " + x^0 * p * x^(1-alpha) * p * x^alpha)",
              "x * p^2 - i * hbar * p"),
-    # eq18, eq19: each asymmetric quadratic ordering is Weyl's plus an
-    # alpha-dependent p term; their mean is Weyl's exactly
+    # eq18, eq19: each asymmetric quadratic ordering is its alpha = 1/2
+    # ordering plus an alpha-dependent p term.  The two alpha = 1/2
+    # orderings are not Weyl's: they are the Weyl-ordered
+    # T_12 = (p^2 x + 2 p x p + x p^2) / 4 plus and minus (i hbar / 2) p.
+    # Their mean, eq19, is T_12 exactly
     Identity("eq18a", COORDINATE, "x^alpha * p * x^(1-alpha) * p",
              "x^(1/2) * p * x^(1/2) * p + i * hbar * (alpha - 1/2) * p",
              surviving=("(i * alpha * hbar - i * hbar) * p",),

@@ -139,10 +139,6 @@ class OperatorExpr:
 
     # -- queries --------------------------------------------------------
     @property
-    def is_zero(self) -> bool:
-        return not self.words
-
-    @property
     def is_scalar(self) -> bool:
         """True when every word is a scaled identity."""
         return all(not w.factors for w in self.words)

@@ -68,10 +68,6 @@ class AmbiguityReport(Value):
         _set(self, "free_params", free_params)
         _set(self, "surviving_terms", surviving_terms)
 
-    @property
-    def ambiguous(self) -> bool:
-        return bool(self.surviving_terms)
-
 
 def _moving_kind(convention: Convention) -> BaseKind:
     return BaseKind.P if convention is Convention.COORDINATE else BaseKind.X

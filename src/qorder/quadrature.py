@@ -50,7 +50,9 @@ def sin_phase_integral(a: float, b: float,
     The two sectors u > sqrt(b/|a|) and u < sqrt(b/|a|) are the half-lines
     t > 0 and t < 0.  For a > 0 both are I = integral_0^inf sin(z cosh t)
     dt, so Phi = 2 I (= pi J_0(z)).  For a < 0 they cancel, and Phi is
-    0.0 with the error 1e-15, the rounding floor of every computed Phi.
+    0.0 with the error 1e-15, the rounding floor of every computed Phi,
+    even where |a| b overflows; for a > 0 that overflow raises
+    :class:`QuadratureError`.
     For b < 0, Phi(a, b) = -Phi(-a, -b) exactly, with the same error.
     Phi(0, b) is the limit from a > 0, and Phi(a, 0) the limit from
     b > 0.
@@ -58,15 +60,15 @@ def sin_phase_integral(a: float, b: float,
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("domain error: sin_phase_integral needs finite a "
                          f"and b, got a={a!r}, b={b!r}")
-    q = abs(a * b)
-    if q == math.inf:
-        raise QuadratureError("quadrature failed: the phase coupling |a| b "
-                              f"overflows, got a={a!r}, b={b!r}")
     if b < 0.0:     # sin(a u + b/u) = -sin(-a u - b/u)
         value, err = sin_phase_integral(-a, -b, spec)
         return -value, err
     if a < 0.0:     # u -> b/(|a| u) maps Phi(a, b) to -Phi(a, b)
         return 0.0, 1e-15
+    q = abs(a * b)
+    if q == math.inf:
+        raise QuadratureError("quadrature failed: the phase coupling |a| b "
+                              f"overflows, got a={a!r}, b={b!r}")
     if a == 0.0 and b == 0.0:
         return 0.0, 0.0
     pad = 0.0

@@ -11,8 +11,10 @@ import cmath
 import math
 
 from ._value import Value, _set
-from .bessel import bessel_first_zero, bessel_j
+from .bessel import bessel_j
 from .coordinate import ResidualReport, _EPS
+# QuadratureError is re-exported for callers that catch what the
+# reconstruction raises
 from .quadrature import QuadratureError, QuadratureSpec, sin_cos_integral, \
     sin_phase_integral
 
@@ -95,11 +97,6 @@ def fourier_reconstruct_detailed(psi: MomentumEigenfunction, x: float,
     return Reconstruction(scale * integral, abs(scale) * err)
 
 
-def fourier_reconstruct(psi: MomentumEigenfunction, x: float,
-                        spec: QuadratureSpec = _SPEC) -> complex:
-    return fourier_reconstruct_detailed(psi, x, spec).value
-
-
 def verify_integral_identity(a: float, b: float,
                              spec: QuadratureSpec = _SPEC) -> ResidualReport:
     """Check both mixed-product orderings against (pi/2) J_0(2 (a^2 b^2)^(1/4)).
@@ -116,36 +113,3 @@ def verify_integral_identity(a: float, b: float,
     return ResidualReport((1.0, 2.0),
                           (abs(v1 - target), abs(v2 - target)),
                           _INTEGRAL_TOL)
-
-
-def reconstruction_first_zero(psi: MomentumEigenfunction,
-                              spec: QuadratureSpec = _SPEC) -> float:
-    """First positive x where the reconstructed psi(x) vanishes.
-
-    No command calls it: the tests do, the acceptance tests among them,
-    to hold that zero against the first zero of J_0."""
-
-    def f(x):
-        val = fourier_reconstruct(psi, x, spec)
-        return val.imag if abs(val.imag) >= abs(val.real) else val.real
-
-    z0 = bessel_first_zero(0.0)
-    guess = (psi.hbar * z0 / (2.0 * math.sqrt(psi.E))) ** 2
-    lo, hi = 0.5 * guess, 1.5 * guess
-    flo, fhi = f(lo), f(hi)
-    while flo * fhi > 0:
-        lo *= 0.8
-        hi *= 1.2
-        flo, fhi = f(lo), f(hi)
-        if hi / lo > 100:
-            raise QuadratureError("no sign change for reconstruction zero")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-10 * guess:
-            break
-        fm = f(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)

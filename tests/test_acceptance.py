@@ -18,9 +18,9 @@ from qorder.identities import IDENTITIES, check, suite
 from qorder.ordering import Convention, hermitize, normal_order
 from qorder.parser import parse_operator
 from qorder.quadrature import QuadratureSpec, sin_cos_integral
-from qorder.verification import (MomentumEigenfunction, fourier_reconstruct,
-                                 momentum_ode_residual,
-                                 reconstruction_first_zero)
+from qorder.verification import (MomentumEigenfunction,
+                                 fourier_reconstruct_detailed,
+                                 momentum_ode_residual)
 
 from oracles import X, oracle_equal
 from test_ordering import _random_word
@@ -120,22 +120,24 @@ def test_criterion_06_integral_identity():
 
 def test_criterion_07_reconstruction_proportionality():
     """Reconstructed psi(x) is proportional to J_0(2 sqrt(E x)/hbar) and its
-    first zero sits at (hbar z0 / (2 sqrt(E)))^2."""
+    first zero sits at (hbar z0 / (2 sqrt(E)))^2, with z0 the first zero
+    of J_0 from mpmath: Im psi changes sign across that point (1 -+ 1e-4)."""
     psi = MomentumEigenfunction(E=1.0, hbar=1.0)
     ratios = []
     for x in (0.0, 0.25, 1.0, 2.25, 4.0):
-        value = fourier_reconstruct(psi, x, SPEC)
+        value = fourier_reconstruct_detailed(psi, x, SPEC).value
         ratios.append(value / bessel_j(0.0, 2.0 * math.sqrt(x)).value)
     base = ratios[0]
     spread = max(abs(r - base) / abs(base) for r in ratios)
-    z0 = 2.4048255577
+    z0 = float(mpmath.besseljzero(0, 1))
     expected_zero = (z0 / 2.0) ** 2
-    found = reconstruction_first_zero(psi, SPEC)
-    zero_err = abs(found - expected_zero) / expected_zero
-    ok = spread <= 1e-4 and zero_err <= 1e-4
+    below, above = (
+        fourier_reconstruct_detailed(psi, expected_zero * s, SPEC).value.imag
+        for s in (1.0 - 1e-4, 1.0 + 1e-4))
+    ok = spread <= 1e-4 and below * above < 0.0
     _report("criterion 7 (Fourier reconstruction)", ok,
-            f"ratio spread {spread:.3e} <= 1e-4,"
-            f" zero rel err {zero_err:.3e} <= 1e-4")
+            f"ratio spread {spread:.3e} <= 1e-4, Im psi"
+            f" {below:.3e} -> {above:.3e} across the zero (1 -+ 1e-4)")
 
 
 def test_criterion_08_order_determination():

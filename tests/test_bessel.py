@@ -1,4 +1,4 @@
-"""Bessel J: exact-rational series oracle, zeros, ODE and recurrence checks."""
+"""Bessel J: exact-rational series oracle, ODE and recurrence checks."""
 
 import math
 import random
@@ -7,8 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from qorder.bessel import (BesselDomainError, bessel_first_zero, bessel_j,
-                           bessel_j_derivatives)
+from qorder.bessel import BesselDomainError, bessel_j, bessel_j_derivatives
 
 
 def _j_integer_oracle(n: int, z: Fraction, terms: int = 40) -> Fraction:
@@ -87,12 +86,6 @@ def test_large_argument_matches_series_extension():
     assert abs(got.value - oracle) <= 1e-9
 
 
-def test_first_zeros():
-    assert abs(bessel_first_zero(0.0) - 2.4048255577) <= 1e-9
-    assert abs(bessel_first_zero(1.0) - 3.8317059702) <= 1e-9
-    assert abs(bessel_first_zero(0.5) - math.pi) <= 1e-9
-
-
 def test_zero_argument():
     assert bessel_j(0.0, 0.0).value == 1.0
     assert bessel_j(1.5, 0.0).value == 0.0
@@ -161,8 +154,6 @@ def test_domain_errors():
         bessel_j(0.0, 2e4)
     with pytest.raises(BesselDomainError, match="domain error"):
         bessel_j_derivatives(0.5, 0.0)
-    with pytest.raises(BesselDomainError, match="domain error"):
-        bessel_first_zero(2.5)
 
 
 def test_orders_whose_gamma_overflows_are_rejected():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qorder.exponents import ONE_EXP, ZERO_EXP, ExponentExpr
+from qorder.exponents import ONE_EXP, ExponentExpr
 from qorder.scalars import ScalarError, ScalarExpr
 
 
@@ -16,7 +16,7 @@ def test_make_and_queries():
     assert e.as_int() is None
     assert ExponentExpr.number(3).as_int() == 3
     assert ExponentExpr.number(Fraction(1, 2)).as_int() is None
-    assert ZERO_EXP.is_zero and not ONE_EXP.is_zero
+    assert ExponentExpr.number(0).is_zero and not ONE_EXP.is_zero
 
 
 def test_zero_coefficients_dropped():
@@ -31,7 +31,7 @@ def test_arithmetic():
     assert a + (one - a) == one
     assert (a - a).is_zero
     assert a.scale(2) - a == a
-    assert -a + a == ZERO_EXP
+    assert -a + a == ExponentExpr.number(0)
     assert a + 1 == a + one
 
 

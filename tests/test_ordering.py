@@ -89,6 +89,19 @@ def test_two_sided_word_structure():
                          * hb * hb)
 
 
+def test_eq19_is_the_weyl_ordering_of_x_p_squared():
+    """The Weyl (Bender-Dunne) basis element T_{1,2}, the mean of the
+    three orderings of x p^2 (Bender and Dunne, Phys. Rev. D 40, 2739
+    (1989)), has eq19's normal form; the alpha = 1/2 ordering of eq18
+    differs from it by (i hbar / 2) p."""
+    weyl = coord("1/4 * (p^2 * x + 2 * p * x * p + x * p^2)")
+    assert weyl == coord(ROWS["eq19"].expected)
+    assert weyl == coord("x * p^2 - i * hbar * p")
+    half = coord("x^(1/2) * p * x^(1/2) * p")
+    assert half == coord("x * p^2 - 1/2 * i * hbar * p")
+    assert half != weyl
+
+
 # -- error paths --------------------------------------------------------------
 
 def test_symbolic_moving_power_rejected():

@@ -4,6 +4,7 @@ imported on first access."""
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,16 @@ def test_every_public_name_is_its_home_modules_object():
         assert owners, name
         assert all(getattr(qorder, name) is vars(m)[name] for m in owners), \
             name
+
+
+def test_readme_names_the_public_surface():
+    """The README's Python API paragraph names every public name, and
+    none of the names that were dropped from it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [n for n in qorder.__all__ if f"`{n}`" not in readme] == []
+    for gone in ("bessel_first_zero", "reconstruction_first_zero",
+                 "fourier_reconstruct"):
+        assert f"`{gone}`" not in readme, gone
 
 
 def test_dir_lists_every_public_name():

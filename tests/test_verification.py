@@ -15,17 +15,16 @@ from hypothesis import strategies as st
 
 from qorder import coordinate
 from qorder._kernels import osc_tail
-from qorder.bessel import bessel_first_zero, bessel_j
+from qorder.bessel import bessel_j
 from qorder.coordinate import (ORDER_SCAN_GRID, CoordinateEigenfunction,
                                coordinate_ode_residual,
                                determine_bessel_order, order_residual)
 from qorder.quadrature import QuadratureError, QuadratureSpec, \
     sin_cos_integral, sin_phase_integral
-from qorder.verification import (MomentumEigenfunction, ResidualReport,
-                                 fourier_reconstruct,
+from qorder.verification import (MomentumEigenfunction, Reconstruction,
+                                 ResidualReport,
                                  fourier_reconstruct_detailed,
                                  momentum_ode_residual,
-                                 reconstruction_first_zero,
                                  verify_integral_identity)
 
 SPEC = QuadratureSpec()
@@ -231,10 +230,15 @@ def test_quadrature_failure_reports_partial_value():
 
 
 def test_quadrature_rejects_overflowing_coupling():
-    """|a| b = inf has no lobes to sum; the failure names the values."""
-    for a in (1e300, -1e300):
-        with pytest.raises(QuadratureError, match=r"a=-?1e\+300, b=1e\+300"):
-            sin_phase_integral(a, 1e300, SPEC)
+    """|a| b = inf has no lobes to sum for a > 0, and the failure names
+    the values; for a < 0 Phi is the exact zero, overflow or not, so a
+    reconstruction at such an x < 0 is 0 too."""
+    with pytest.raises(QuadratureError, match=r"a=1e\+300, b=1e\+300"):
+        sin_phase_integral(1e300, 1e300, SPEC)
+    assert sin_phase_integral(-1e300, 1e300, SPEC) == (0.0, 1e-15)
+    assert fourier_reconstruct_detailed(
+        MomentumEigenfunction(1e10, 1.0), -1e300, SPEC) \
+        == Reconstruction(0j, 2e-15)
 
 
 def test_quadrature_spec_budget_is_one_block():
@@ -258,7 +262,7 @@ def test_reconstruction_proportional_to_j0():
     psi = MomentumEigenfunction(E=1.0, hbar=1.0)
     ratios = []
     for x in (0.0, 0.25, 1.0, 2.25, 4.0):
-        value = fourier_reconstruct(psi, x, SPEC)
+        value = fourier_reconstruct_detailed(psi, x, SPEC).value
         target = bessel_j(0.0, 2.0 * math.sqrt(x)).value
         ratios.append(value / target)
     base = ratios[0]
@@ -286,11 +290,19 @@ def test_reconstruction_within_its_bound_for_both_signs():
 
 
 def test_reconstruction_zero_location():
-    psi = MomentumEigenfunction(E=1.0, hbar=1.0)
-    z0 = bessel_first_zero(0.0)
-    expected = (z0 / 2.0) ** 2
-    found = reconstruction_first_zero(psi, SPEC)
-    assert abs(found - expected) / expected <= 1e-4
+    """psi vanishes within its reported error at x0 = (hbar j)^2 / (4 E)
+    for the first three zeros j of J_0, taken from mpmath, and Im psi
+    changes sign across x0 (1 -+ 1e-6)."""
+    for E, hbar in ((1.0, 1.0), (2.0, 0.5)):
+        psi = MomentumEigenfunction(E, hbar)
+        for m in (1, 2, 3):
+            x0 = (hbar * float(mpmath.besseljzero(0, m))) ** 2 / (4.0 * E)
+            rec = fourier_reconstruct_detailed(psi, x0, SPEC)
+            assert abs(rec.value) <= rec.abs_error, (E, hbar, m, rec)
+            below, above = (
+                fourier_reconstruct_detailed(psi, x0 * s, SPEC).value.imag
+                for s in (1.0 - 1e-6, 1.0 + 1e-6))
+            assert below * above < 0.0, (E, hbar, m, below, above)
 
 
 def test_eigenfunctions_reject_nonfinite_normalizations():
@@ -303,11 +315,11 @@ def test_eigenfunctions_reject_nonfinite_normalizations():
 def test_reconstruction_scales_with_normalization():
     psi1 = MomentumEigenfunction(E=1.0, hbar=1.0)
     psi2 = MomentumEigenfunction(E=1.0, hbar=1.0, N=2.0)
-    v1 = fourier_reconstruct(psi1, 1.0, SPEC)
-    v2 = fourier_reconstruct(psi2, 1.0, SPEC)
+    v1 = fourier_reconstruct_detailed(psi1, 1.0, SPEC).value
+    v2 = fourier_reconstruct_detailed(psi2, 1.0, SPEC).value
     assert abs(v2 - 2.0 * v1) <= 1e-9
     psi0 = MomentumEigenfunction(E=1.0, hbar=1.0, N=0.0)
-    assert fourier_reconstruct(psi0, 1.0, SPEC) == 0j
+    assert fourier_reconstruct_detailed(psi0, 1.0, SPEC).value == 0j
 
 
 def test_reconstruction_rejects_nonfinite_x():
