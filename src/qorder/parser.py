@@ -27,6 +27,7 @@ in the order it was built, as ``x + p`` does.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -79,6 +80,19 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _int(tok: _Token) -> int:
+    """An INT token's value; one longer than the interpreter converts
+    (sys.get_int_max_str_digits(), 4300 digits by default) is an error
+    at its span."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"number of {len(tok.text)} digits is too long",
+                         tok.span,
+                         [f"at most {sys.get_int_max_str_digits()} digits"]
+                         ) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -103,10 +117,10 @@ class _Parser:
     def number(self) -> int | Fraction:
         """A NUMBER token, optionally over an integer: an int where whole."""
         tok = self.expect("INT", "number")
-        value = int(tok.text)
+        value = _int(tok)
         if self.cur.kind == "/" and self.tokens[self.pos + 1].kind == "INT":
             self.advance()
-            den = int(self.advance().text)
+            den = _int(self.advance())
             if den == 0:
                 raise ParseError("zero denominator in ratio", tok.span,
                                  ["nonzero integer"])
@@ -401,16 +415,13 @@ def _coefficient_text(s: ScalarExpr) -> tuple[int, str]:
 
 
 def _inverse_text(den) -> str:
-    """den^-1 for a denominator from ScalarExpr.as_fraction, which has a
-    parameter in every term and a positive leading term."""
-    den_terms = _signed_terms(den)
-    if len(den_terms) > 1:
-        return f"({_sum_text(den_terms)})^-1"
-    pieces = den_terms[0][1]
-    if len(pieces) == 1:  # one parameter: alpha^-2, not alpha^2^-1
-        ((name, k),) = den[0][0]
+    """den^-1 for the one-term denominator of ScalarExpr.as_fraction: a
+    positive integer times a monomial with no negative exponent."""
+    ((monomial, value, _),) = den
+    if value == 1 and len(monomial) == 1:  # alpha^-2, not alpha^2^-1
+        ((name, k),) = monomial
         return f"{name}^-{k}"
-    return "(" + " * ".join(pieces) + ")^-1"
+    return "(" + " * ".join(_term_pieces(monomial, value, False)) + ")^-1"
 
 
 def print_operator(e: OperatorExpr) -> str:

@@ -1,9 +1,10 @@
-"""Exact scalar coefficients: rational functions of real parameters.
+"""Exact scalar coefficients: Laurent polynomials in real parameters.
 
-Coefficients live in the field QQ(i)(params): multivariate rational
-functions with Gaussian-rational coefficients.  All parameters are
-declared real (``hbar`` additionally positive), so conjugation fixes
-them and maps i to -i.
+A coefficient is a Laurent polynomial over the Gaussian rationals: a
+finite sum of Gaussian rationals times monomials in the parameters,
+whose exponents may be negative, as in ``alpha * gamma * hbar^2`` or
+``hbar^-1``.  All parameters are declared real (``hbar`` additionally
+positive), so conjugation fixes them and maps i to -i.
 
 A polynomial is a dict from monomials to Gaussian rationals.  A
 monomial is a tuple of ``(name, exponent)`` pairs sorted by name with no
@@ -12,21 +13,16 @@ One rational rule holds here and in :mod:`qorder.exponents`: every
 constructor and every sum and product of parts stores a whole value as
 an ``int`` and makes a ``Fraction`` only for a value that is not whole,
 so the integer coefficients of normal ordering stay on int arithmetic.
-Zero coefficients are never stored.  A scalar is
-a numerator polynomial, whose exponents may be negative (a Laurent
-polynomial), over a denominator that is either 1 or a polynomial that
+Zero coefficients are never stored, so the form is unique and equality
+is a dict comparison.
 
-- has at least two terms and no negative exponent,
-- is divisible by no parameter,
-- has leading coefficient 1 in graded-lex order, and
-- shares no factor with the numerator.
-
-That form is unique, so equality is a dict comparison.  Normal ordering
-only ever meets Laurent polynomials, where ``+`` and ``*`` are plain
-dict arithmetic; a denominator with two or more terms comes only from
-``/`` or from a negative power of a compound scalar, and only then is
-the fraction reduced, by the primitive-PRS gcd (W. S. Brown, J. ACM 18,
-478 (1971)).
+``+``, ``-`` and ``*`` are plain dict arithmetic.  Division is by a
+single term, a Gaussian rational times a monomial, whose inverse is
+again one term; dividing by a sum, or raising one to a negative power,
+raises :class:`ScalarError`.  The paper's orderings need no more.
+Rational functions would need a polynomial gcd to keep each fraction
+reduced, and the primitive remainder sequence (W. S. Brown, J. ACM 18,
+478 (1971)) grows in degree and in digits on ordinary inputs.
 """
 
 from __future__ import annotations
@@ -134,10 +130,6 @@ def _order_key(m):
     return (-sum(e for _, e in m), tuple((name, -e) for name, e in m))
 
 
-def _leading(poly):
-    return min(poly, key=_order_key)
-
-
 def _accumulate(out, m, c):
     old = out.get(m)
     if old is not None:
@@ -165,7 +157,7 @@ def _pmul(a, b):
     return out
 
 
-def _pmono(poly, m, c=_UNIT):
+def _pmono(poly, m, c):
     """poly * c * m; no two terms can merge."""
     return {_mono_mul(pm, m): _gmul(pc, c) for pm, pc in poly.items()}
 
@@ -184,157 +176,44 @@ def _params_of(poly) -> set[str]:
     return {name for m in poly for name, _ in m}
 
 
-def _min_exponents(poly):
-    """The monomial of each parameter's lowest exponent over the terms
-    (0 where a term lacks the parameter); it may have negative exponents."""
-    low = []
-    for name in sorted(_params_of(poly)):
-        e = min(dict(m).get(name, 0) for m in poly)
-        if e:
-            low.append((name, e))
-    return tuple(low)
-
-
-def _monic(poly):
-    inv = _ginv(poly[_leading(poly)])
-    return {m: _gmul(c, inv) for m, c in poly.items()}
-
-
-def _is_constant(poly) -> bool:
-    return len(poly) == 1 and () in poly
-
-
-def _divide_exact(a, b):
-    """a / b for polynomials where b divides a."""
-    lead = _leading(b)
-    inv, lead_inv = _ginv(b[lead]), _mono_inv(lead)
-    quotient, rest = {}, dict(a)
-    while rest:
-        top = _leading(rest)
-        m = _mono_mul(top, lead_inv)
-        if any(e < 0 for _, e in m):
-            raise ArithmeticError("inexact polynomial division")
-        c = _gmul(rest[top], inv)
-        quotient[m] = c
-        rest = _padd(rest, _pmono(b, m, c), _MINUS_UNIT)
-    return quotient
-
-
-def _coeffs_in(poly, name):
-    """poly as {k: coefficient polynomial free of name} in powers of name."""
-    out = {}
-    for m, c in poly.items():
-        k, rest = 0, m
-        for j, (n, e) in enumerate(m):
-            if n == name:
-                k, rest = e, m[:j] + m[j + 1:]
-                break
-        out.setdefault(k, {})[rest] = c
-    return out
-
-
-def _content(polys):
-    """Monic gcd of nonzero polynomials."""
-    g = None
-    for p in polys:
-        g = p if g is None else _gcd(g, p)
-        if _is_constant(g):
-            return _ONE_POLY
-    return _monic(g)
-
-
-def _prem(a, b, name):
-    """A pseudo-remainder of a by b in powers of name."""
-    cb = _coeffs_in(b, name)
-    db = max(cb)
-    lcb = cb[db]
-    rest = a
-    while rest:
-        cr = _coeffs_in(rest, name)
-        dr = max(cr)
-        if dr < db:
-            break
-        shift = ((name, dr - db),) if dr > db else ()
-        rest = _padd(_pmul(rest, lcb), _pmul(_pmono(b, shift), cr[dr]),
-                     _MINUS_UNIT)
-    return rest
-
-
-def _gcd(a, b):
-    """Monic gcd of two nonzero polynomials, by primitive polynomial
-    remainder sequences in the first parameter and recursion on the
-    contents in the others."""
-    names = _params_of(a) | _params_of(b)
-    if not names:
-        return _ONE_POLY
-    x = min(names)
-    ca, cb = _coeffs_in(a, x), _coeffs_in(b, x)
-    cont_a, cont_b = _content(ca.values()), _content(cb.values())
-    common = _gcd(cont_a, cont_b)
-    pa, pb = _divide_exact(a, cont_a), _divide_exact(b, cont_b)
-    if max(ca) < max(cb):
-        pa, pb = pb, pa
-    while True:
-        if max(_coeffs_in(pb, x)) == 0:
-            # a primitive polynomial of degree 0 is a unit
-            return common
-        r = _prem(pa, pb, x)
-        if not r:
-            return _monic(_pmul(common, pb))
-        pa, pb = pb, _divide_exact(r, _content(_coeffs_in(r, x).values()))
+def _clearing(poly):
+    """The least monomial whose product with poly has no negative
+    exponent."""
+    low = {}
+    for m in poly:
+        for name, e in m:
+            if e < low.get(name, 0):
+                low[name] = e
+    return tuple(sorted((name, -e) for name, e in low.items()))
 
 
 # ---------------------------------------------------------------------------
 # Scalars
 # ---------------------------------------------------------------------------
 
-def _make(num, den=None) -> "ScalarExpr":
+def _make(num) -> "ScalarExpr":
     s = object.__new__(ScalarExpr)
     s._num = num
-    s._den = den
     return s
-
-
-def _fraction(num, den) -> "ScalarExpr":
-    """The canonical form of num / den, for Laurent polynomials num and
-    den with den nonzero."""
-    if not num:
-        return _make({})
-    if len(den) == 1:
-        ((m, c),) = den.items()
-        return _make(_pmono(num, _mono_inv(m), _ginv(c)))
-    low = _mono_inv(_min_exponents(den))
-    den, num = _pmono(den, low), _pmono(num, low)
-    shift = _min_exponents(num)
-    poly = _pmono(num, _mono_inv(shift))
-    g = _gcd(poly, den)
-    if not _is_constant(g):
-        poly, den = _divide_exact(poly, g), _divide_exact(den, g)
-    if _is_constant(den):
-        return _make(_pmono(poly, shift, _ginv(den[()])))
-    inv = _ginv(den[_leading(den)])
-    return _make(_pmono(poly, shift, inv),
-                 {m: _gmul(c, inv) for m, c in den.items()})
 
 
 class ScalarExpr:
     """Immutable exact scalar in canonical form (see the module notes)."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num",)
 
     def __init__(self, value=0):
         if isinstance(value, ScalarExpr):
-            num, den = value._num, value._den
+            num = value._num
         elif isinstance(value, bool):
             raise ScalarError("bool is not a scalar")
         elif isinstance(value, (int, Fraction)):
-            num, den = ({(): (_rational(value), 0)} if value else {}), None
+            num = {(): (_rational(value), 0)} if value else {}
         elif isinstance(value, ParamSymbol):
-            num, den = {((value.name, 1),): _UNIT}, None
+            num = {((value.name, 1),): _UNIT}
         else:
             raise ScalarError(f"cannot build scalar from {value!r}")
         self._num = num
-        self._den = den
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -360,10 +239,10 @@ class ScalarExpr:
 
     @property
     def is_one(self) -> bool:
-        return self._den is None and self._num == _ONE_POLY
+        return self._num == _ONE_POLY
 
     def free_params(self) -> set[str]:
-        return _params_of(self._num) | _params_of(self._den or {})
+        return _params_of(self._num)
 
     def depends_on(self, param) -> bool:
         return _param_name(param) in self.free_params()
@@ -372,22 +251,18 @@ class ScalarExpr:
         """(numerator, denominator) as lists of ``(monomial, re, im)``
         terms in graded-lex order, with no negative exponent.
 
-        The denominator is None when it is 1.  Otherwise it is the
-        stored denominator times the monomial that clears the
-        numerator's negative exponents, and both sides are scaled to
-        integer coefficients.
+        The denominator is None when no exponent is negative.  Otherwise
+        it is one term: the monomial that clears the negative exponents
+        times the least integer that makes every coefficient of the
+        numerator, scaled by the same term, a Gaussian integer.
         """
-        num, den = self._num, self._den
-        clear = _mono_inv(tuple((n, e) for n, e in _min_exponents(num)
-                                if e < 0))
-        if den is None and not clear:
+        num = self._num
+        clear = _clearing(num)
+        if not clear:
             return _terms(num), None
-        den = _pmono(den or _ONE_POLY, clear)
-        num = _pmono(num, clear)
-        scale = math.lcm(*(part.denominator for poly in (num, den)
-                           for c in poly.values() for part in c))
-        scale = (scale, 0)
-        return _terms(_pmono(num, (), scale)), _terms(_pmono(den, (), scale))
+        scale = math.lcm(*(part.denominator for c in num.values()
+                           for part in c))
+        return _terms(_pmono(num, clear, (scale, 0))), [(clear, scale, 0)]
 
     # -- arithmetic -----------------------------------------------------
     @staticmethod
@@ -397,13 +272,7 @@ class ScalarExpr:
         return ScalarExpr(other)
 
     def _add(self, other, scale=None) -> "ScalarExpr":
-        if self._den is None and other._den is None:
-            return _make(_padd(self._num, other._num, scale))
-        if self._den == other._den:
-            return _fraction(_padd(self._num, other._num, scale), self._den)
-        d1, d2 = self._den or _ONE_POLY, other._den or _ONE_POLY
-        return _fraction(_padd(_pmul(self._num, d2), _pmul(other._num, d1),
-                               scale), _pmul(d1, d2))
+        return _make(_padd(self._num, other._num, scale))
 
     def __add__(self, other):
         return self._add(self._coerce(other))
@@ -421,10 +290,7 @@ class ScalarExpr:
             return other
         if other.is_one:
             return self
-        if self._den is None and other._den is None:
-            return _make(_pmul(self._num, other._num))
-        d1, d2 = self._den or _ONE_POLY, other._den or _ONE_POLY
-        return _fraction(_pmul(self._num, other._num), _pmul(d1, d2))
+        return _make(_pmul(self._num, other._num))
 
     def __mul__(self, other):
         return self._mul(self._coerce(other))
@@ -434,10 +300,11 @@ class ScalarExpr:
     def _inverse(self) -> "ScalarExpr":
         if not self._num:
             raise ScalarError("zero denominator")
-        if self._den is None and len(self._num) == 1:
-            ((m, c),) = self._num.items()
-            return _make({_mono_inv(m): _ginv(c)})
-        return _fraction(self._den or _ONE_POLY, self._num)
+        if len(self._num) > 1:
+            raise ScalarError(f"cannot invert the sum {self}: a coefficient"
+                              " divides only by a single term")
+        ((m, c),) = self._num.items()
+        return _make({_mono_inv(m): _ginv(c)})
 
     def __truediv__(self, other):
         return self._mul(self._coerce(other)._inverse())
@@ -446,27 +313,27 @@ class ScalarExpr:
         return self._coerce(other)._mul(self._inverse())
 
     def __neg__(self):
-        return _make({m: (-re, -im) for m, (re, im) in self._num.items()},
-                     self._den)
+        return _make({m: (-re, -im) for m, (re, im) in self._num.items()})
 
     def __pow__(self, n: int):
+        """self^n by repeated squaring: about 2 log2 |n| products."""
         if not isinstance(n, int) or isinstance(n, bool):
             raise ScalarError("scalar powers must be integers")
         if n == 0:
             return ONE
-        base = self._inverse() if n < 0 else self
-        # powers of a canonical fraction stay canonical
-        num, den = _ONE_POLY, None if base._den is None else _ONE_POLY
-        for _ in range(abs(n)):
-            num = _pmul(num, base._num)
-            if den is not None:
-                den = _pmul(den, base._den)
-        return _make(num, den)
+        square = (self._inverse() if n < 0 else self)._num
+        n, power = abs(n), _ONE_POLY
+        while True:
+            if n & 1:
+                power = _pmul(power, square)
+            n >>= 1
+            if not n:
+                return _make(power)
+            square = _pmul(square, square)
 
     def conj(self) -> "ScalarExpr":
         """Complex conjugation: i -> -i, parameters fixed (declared real)."""
-        return _make(_conj(self._num),
-                     None if self._den is None else _conj(self._den))
+        return _make(_conj(self._num))
 
     # -- equality -------------------------------------------------------
     def __eq__(self, other):
@@ -474,7 +341,7 @@ class ScalarExpr:
                 other, (ScalarExpr, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
-        return self._num == other._num and self._den == other._den
+        return self._num == other._num
 
     # equal to ints and Fractions, so a hash would have to match theirs
     __hash__ = None

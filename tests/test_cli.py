@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,13 +13,13 @@ from qorder.cli import main
 from qorder.identities import IDENTITIES, suite
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=600):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "qorder.cli", *args],
                           capture_output=True, text=True, env=env,
-                          timeout=600)
+                          timeout=timeout)
 
 
 # -- normal-order ---------------------------------------------------------------
@@ -55,6 +56,69 @@ def test_normal_order_momentum_rejects_symbolic_power():
     assert "cannot normal-order symbolic power of the moving operator" \
         in proc.stderr
     assert proc.stdout == ""
+
+
+def test_normal_order_names_a_numeric_moving_power():
+    """A negative or fractional moving power is named, not called
+    symbolic."""
+    for args, factor in ((("p^-1 * x",), "p^-1"),
+                         (("p^(1/2) * x",), "p^(1/2)"),
+                         (("x^-2 * p", "--rep", "momentum"), "x^-2")):
+        proc = run_cli("normal-order", *args)
+        assert proc.returncode == 3
+        assert proc.stderr == (f"ordering error: cannot normal-order {factor}:"
+                               " the moving operator needs a nonnegative"
+                               " integer power\n")
+        assert proc.stdout == ""
+
+
+def test_normal_order_scalar_power_by_squaring():
+    """A scalar power of a billion is about 60 products, not a billion."""
+    for text in ("alpha^1000000000 * x", "hbar^-1000000000 * p"):
+        proc = run_cli("normal-order", text, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == text + "\n"
+
+
+def test_normal_order_rejects_the_inverse_of_a_sum():
+    """Coefficients are Laurent polynomials: a sum has no negative power,
+    and the parse error points at the sum."""
+    proc = run_cli("normal-order", "(1 + alpha)^-1 * x")
+    assert proc.returncode == 2
+    assert proc.stderr == ("parse error: cannot invert the sum (alpha + 1):"
+                           " a coefficient divides only by a single term"
+                           " at 0..11\n")
+    assert proc.stdout == ""
+
+
+def test_normal_order_pinned_sum_of_fractions_fails_fast():
+    """The sum of fractions whose reduction by a polynomial gcd ran for
+    minutes is a parse error at its first inverted sum, at once."""
+    text = ("-3*i*alpha*beta*(2*beta*gamma - 3*i*alpha)^-1 * x"
+            " - (48*alpha - 48*hbar)*(96*alpha^2*beta + 48*alpha*beta*gamma"
+            " - 53*alpha*beta - 96*beta*gamma - 278*beta)^-1 * x")
+    start = time.perf_counter()
+    proc = run_cli("normal-order", text, timeout=20)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stderr == ("parse error: cannot invert the sum"
+                           " (2 * beta * gamma - 3 * i * alpha): a coefficient"
+                           " divides only by a single term at 16..42\n")
+
+
+def test_normal_order_long_number_is_a_parse_error():
+    """A NUMBER longer than the interpreter converts to an int is a parse
+    error at its span (exit 2), in a coefficient and in an exponent."""
+    digits = "1" * 4400
+    for text, span in ((digits + " * x", "0..4400"),
+                       ("x^" + digits, "2..4402"),
+                       ("1/" + digits + " * x", "2..4402")):
+        proc = run_cli("normal-order", text,
+                       env_extra={"PYTHONINTMAXSTRDIGITS": "4300"})
+        assert proc.returncode == 2
+        assert proc.stderr == ("parse error: number of 4400 digits is too long"
+                               f" at {span} (expected at most 4300 digits)\n")
+        assert proc.stdout == ""
 
 
 def test_normal_order_parse_error_span():

@@ -48,9 +48,14 @@ def test_function_factors():
 
 
 def test_zeroth_power_of_compound_scalar():
-    assert _coord_nf("((1+alpha)^-1)^0 * x") == _coord_nf("x")
-    nf = _coord_nf("x + ((1+alpha)^-1)^0")
+    assert _coord_nf("((1+alpha)^2)^0 * x") == _coord_nf("x")
+    assert _coord_nf("((alpha*hbar)^-1)^0 * x") == _coord_nf("x")
+    nf = _coord_nf("x + ((1+alpha)^3)^0")
     assert print_operator(nf.as_operator_expr()) == "x + 1"
+    # a sum has no negative power, not even under a zeroth one
+    with pytest.raises(ParseError, match="cannot invert the sum") as exc:
+        parse_operator("((1+alpha)^-1)^0 * x")
+    assert (exc.value.span.start, exc.value.span.end) == (1, 10)
 
 
 def test_compound_power_expands():

@@ -1,4 +1,5 @@
-"""Exact scalar field: arithmetic, conjugation, evaluation, errors."""
+"""Exact scalar coefficients, Laurent polynomials: arithmetic, conjugation,
+evaluation, errors."""
 
 import math
 import operator
@@ -72,10 +73,20 @@ def test_field_axioms():
 
 
 def test_rational_function_cancellation():
-    a = ScalarExpr.param("alpha")
-    num = a * a - ONE
-    den = a - ONE
-    assert num / den == a + ONE
+    """A single term divides and cancels; a sum has no inverse."""
+    a, h = ScalarExpr.param("alpha"), HBAR
+    assert (a * a - a * h) / (3 * a) == (a - h) / 3
+    assert (a * a - ONE) / a == a - a ** -1
+    assert (a * h + ONE) / (a * h) == ONE + (a * h) ** -1
+    for sum_ in (a - ONE, a + I, a * h + h ** -1):
+        with pytest.raises(ScalarError, match="cannot invert the sum"):
+            (a * a - ONE) / sum_
+        with pytest.raises(ScalarError, match="cannot invert the sum"):
+            sum_ ** -1
+    with pytest.raises(ScalarError, match=r"^cannot invert the sum "
+                       r"\(alpha \+ 1\): a coefficient divides only by a "
+                       r"single term$"):
+        ONE / (a + 1)
 
 
 def test_division_errors():
@@ -98,13 +109,13 @@ def test_conjugation():
 
 def test_eval_binds_parameters():
     a = ScalarExpr.param("alpha")
-    z = (a * a + ONE) / (a - ScalarExpr(2))
+    z = (a * a + ONE) / (2 * a)
     val = scalar_eval(z, {"alpha": 3})
-    assert abs(val - 10.0) < 1e-12
+    assert abs(val - 5 / 3) < 1e-12
     with pytest.raises(ScalarError, match="unbound parameter: alpha"):
         scalar_eval(z, {})
     with pytest.raises(ScalarError, match="pole at binding"):
-        scalar_eval(z, {"alpha": 2})
+        scalar_eval(z, {"alpha": 0})
 
 
 def test_eval_imaginary():
@@ -179,28 +190,31 @@ def test_equality_is_congruence(a, b, c):
     assert a + c - c == a
 
 
-# -- the field against sympy -------------------------------------------------
+# -- the arithmetic against sympy --------------------------------------------
 
 _NAMES = ("alpha", "beta", "gamma", "hbar")
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv}
 
+_small_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 _leaves = st.one_of(
     st.sampled_from(_NAMES).map(lambda n: (ScalarExpr.param(n), symbol(n))),
     st.just((I, sympy.I)),
-    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).map(
+    _small_rationals.map(
         lambda f: (ScalarExpr(f), sympy.Rational(f.numerator, f.denominator))))
 
 
 def _apply(pair):
     """One + - * / or integer power, built on both sides; a division by
-    zero or a negative power of zero keeps the left operand."""
+    zero or by a sum, or a negative power of either, keeps the left
+    operand."""
     (a, ea), op, (b, eb), n = pair
-    if op == "^":
-        return (a, ea) if n < 0 and a.is_zero else (a ** n, ea ** n)
-    if op == "/" and b.is_zero:
+    try:
+        if op == "^":
+            return a ** n, ea ** n
+        return _OPS[op](a, b), _OPS[op](ea, eb)
+    except ScalarError:
         return a, ea
-    return _OPS[op](a, b), _OPS[op](ea, eb)
 
 
 def _combine(children):
@@ -208,12 +222,45 @@ def _combine(children):
                      st.integers(-2, 3)).map(_apply)
 
 
-# rational expressions, each with the sympy expression built from the
-# same draw; plain recursion rarely divides by a sum, so half the draws
-# are a / (b + c)
+@st.composite
+def _single_terms(draw):
+    """A nonzero Gaussian rational times a Laurent monomial, on both
+    sides."""
+    re, im = draw(_small_rationals), draw(_small_rationals)
+    re = re if re or im else Fraction(1)
+    s = ScalarExpr(re) + ScalarExpr(im) * I
+    e = (sympy.Rational(re.numerator, re.denominator)
+         + sympy.I * sympy.Rational(im.numerator, im.denominator))
+    for name in draw(st.lists(st.sampled_from(_NAMES), min_size=1,
+                              max_size=3)):
+        k = draw(st.integers(-3, 3))
+        s, e = s * ScalarExpr.param(name) ** k, e * symbol(name) ** k
+    return s, e
+
+
+def _term_count(e) -> int:
+    """The number of distinct monomials of a nonzero Laurent polynomial
+    in sympy form; a Gaussian coefficient belongs to one term."""
+    return len({sympy.Mul(*(f for f in sympy.Mul.make_args(t)
+                            if f.free_symbols))
+                for t in sympy.Add.make_args(sympy.expand(e))})
+
+
+def _sum(pairs):
+    return (sum((s for s, _ in pairs), ZERO),
+            sum((e for _, e in pairs), sympy.Integer(0)))
+
+
+# Laurent expressions, each with the sympy expression built from the
+# same draw; plain recursion divides mostly by sums, which keep the left
+# operand, so a third of the draws are a divided by a single term and a
+# third are sums of single terms
 _terms = st.recursive(_leaves, _combine, max_leaves=5)
-_expressions = st.one_of(_terms, st.tuples(_terms, _terms, _terms).map(
-    lambda t: _apply((t[0], "/", _apply((t[1], "+", t[2], 0)), 0))))
+_expressions = st.one_of(
+    _terms,
+    st.tuples(_terms, _single_terms()).map(
+        lambda t: _apply((t[0], "/", t[1], 0))),
+    st.lists(_single_terms(), min_size=2, max_size=3).map(_sum))
 
 
 def _same(a, b) -> bool:
@@ -227,17 +274,25 @@ def _same(a, b) -> bool:
 @settings(max_examples=100, deadline=None)
 @given(_expressions, _expressions, st.sampled_from("+-*/"))
 def test_field_agrees_with_sympy(a, b, op):
+    """Every result agrees with sympy; a / b raises exactly when b is zero
+    or has two or more terms."""
     (a, ea), (b, eb) = a, b
     assert _same(to_sympy(a), ea) and _same(to_sympy(b), eb)
     assert a.is_zero == _same(ea, 0)
-    if not (op == "/" and b.is_zero):
+    if op == "/" and b.is_zero:
+        with pytest.raises(ScalarError, match="zero denominator"):
+            a / b
+    elif op == "/" and _term_count(eb) > 1:
+        with pytest.raises(ScalarError, match="cannot invert the sum"):
+            a / b
+    else:
         assert _same(to_sympy(_OPS[op](a, b)),
                      _OPS[op](to_sympy(a), to_sympy(b)))
     assert (a == b) == _same(ea, eb)
     assert _same(to_sympy(a.conj()), sympy.conjugate(ea))
     # equal values reached by different routes compare equal
     assert (a + b) - b == a
-    if not b.is_zero:
+    if not b.is_zero and _term_count(eb) == 1:
         assert (a * b) / b == a
 
 
@@ -260,20 +315,39 @@ def test_coefficient_printing():
     assert str(-I * hb + I * al * hb) == "(i * alpha * hbar - i * hbar)"
     assert str((al + hb) ** 2) == "(alpha^2 + 2 * alpha * hbar + hbar^2)"
     assert str((ONE + I) * al + 3) == "(alpha + i * alpha + 3)"
-    assert str(ONE / (2 * al + 2)) == "(2 * alpha + 2)^-1"
+    assert str(ONE / (2 * al)) == "(2 * alpha)^-1"
     assert str(al ** -2) == "alpha^-2"
     assert str(3 / (2 * al * hb ** 2)) == "3 * (2 * alpha * hbar^2)^-1"
-    assert str(((al + 1) ** -1) ** 0) == "1"
+    assert str(I / (2 * al)) == "i * (2 * alpha)^-1"
+    assert str(al + hb ** -1) == "(alpha * hbar + 1) * hbar^-1"
+    assert str((al + 1) ** 0) == "1"
 
 
 def test_zeroth_power_is_one():
-    """x^0 is the canonical 1, also for a fraction with a compound
-    denominator."""
+    """x^0 is the canonical 1, also for a sum, which has no negative
+    power, and for a Laurent scalar."""
     al, hb = ScalarExpr.param("alpha"), HBAR
-    for base in (ONE / (al + 1), (al + hb) ** -2, al ** -3, I, ZERO):
+    for base in (al + 1, (al * hb) ** -2, al ** -3 + hb, I, ZERO):
         assert base ** 0 == 1
         assert (base ** 0).is_one
         assert not (base ** 0).free_params()
-    a, b = ONE / (al + 1), hb / (al - 2)
+    a, b = (al + 1) * hb ** -1, hb / (2 * al) - al ** -2
     assert (a + b) - b == a
     assert (a ** 0 + b) - b == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_single_terms(), min_size=1, max_size=3),
+       st.integers(-6, 12))
+def test_power_by_squaring_equals_repeated_product(terms, n):
+    """a ** n equals |n| products of a, or of 1 / a for n < 0; a sum has
+    no negative power."""
+    a = _sum(terms)[0]
+    if n < 0 and (a.is_zero or _term_count(to_sympy(a)) > 1):
+        with pytest.raises(ScalarError):
+            a ** n
+        return
+    factor, expected = (ONE / a if n < 0 else a), ONE
+    for _ in range(abs(n)):
+        expected = expected * factor
+    assert a ** n == expected
