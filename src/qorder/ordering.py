@@ -160,25 +160,24 @@ def _fold_word(word: OperatorWord, convention: Convention) -> dict:
 
 
 @functools.cache
-def _generic_value(name: str) -> float:
-    """A fixed pseudo-random point in [0.1, 0.8) for a parameter, at which
-    symbolic exponents are compared when words are sorted."""
+def _generic_value(name: str) -> Fraction:
+    """A fixed pseudo-random rational in [0.1, 0.8) for a parameter, at
+    which symbolic exponents are compared when words are sorted."""
     h = 0
     for ch in name:
         h = (h * 131 + ord(ch)) % 100003
-    return 0.1 + (h / 100003.0) * 0.7
+    return Fraction(1, 10) + Fraction(7 * h, 1000030)
 
 
 def _word_sort_key(word: OperatorWord):
     """Highest p degree first, then highest degree in the other factors,
-    then the factors' text."""
-    p_degree = 0.0
-    carrier_degree = 0.0
+    then the factors' text.  Degrees are exact: ints, or Fractions where
+    an exponent is symbolic, so equal degrees tie for any size."""
+    p_degree = carrier_degree = 0
     sig_parts = []
     for f in word.factors:
         e = f.exponent
-        val = float(e.const) + sum(float(c) * _generic_value(n)
-                                   for n, c in e.linear)
+        val = e.const + sum(c * _generic_value(n) for n, c in e.linear)
         if f.kind is BaseKind.P:
             p_degree += val
         else:

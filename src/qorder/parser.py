@@ -16,7 +16,8 @@ noncommutative and order-preserving for operator factors; i, hbar,
 numbers and bare identifiers are scalars and fold into the word
 coefficient.  ``f'(x)`` with k apostrophes denotes the k-th formal
 derivative of the abstract function f.  Exponents must be affine
-combinations of numbers and parameter identifiers.
+combinations of numbers and parameter identifiers.  Parentheses nest at
+most MAX_NESTING (200) deep, in expressions and exponents together.
 
 The printer prints the words of an expression in the order it is given
 them.  Word order is decided once, by :func:`qorder.ordering.normal_order`,
@@ -35,7 +36,8 @@ from .errors import ParseError, SourceSpan
 from .exponents import ONE_EXP, ExponentExpr
 from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
                         func_power, p_power, x_power)
-from .scalars import HBAR, I, ONE, ScalarExpr, ScalarError, _rational
+from .scalars import (HBAR, I, ONE, ScalarExpr, ScalarError,
+                      _coefficient_text, _number_text, _rational, _sum_text)
 
 # the unit factors of the x and p atoms, shared by every parse
 _X, _P = x_power(1), p_power(1)
@@ -93,10 +95,17 @@ def _int(tok: _Token) -> int:
                          ) from None
 
 
+# the deepest nesting of parentheses, of expressions and exponents
+# together: a level is four frames of the descent, so 200 levels stay
+# well inside the interpreter's default recursion limit of 1000
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -106,6 +115,18 @@ class _Parser:
         tok = self.cur
         self.pos += 1
         return tok
+
+    def parenthesized(self, inner):
+        """(inner(), the ')' token) for '(' inner ')', one level deeper;
+        past MAX_NESTING levels, an error at the '('."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested more than {MAX_NESTING}"
+                             " deep", self.cur.span, [])
+        self.depth += 1
+        self.advance()
+        value, close = inner(), self.expect(")", "')'")
+        self.depth -= 1
+        return value, close
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
         if self.cur.kind != kind:
@@ -184,10 +205,7 @@ class _Parser:
         if self.cur.kind == "IDENT":
             return self.affine_ident()
         if paren and self.cur.kind == "(":
-            self.advance()
-            e = self.affine_expr()
-            self.expect(")", "')'")
-            return e
+            return self.parenthesized(self.affine_expr)[0]
         raise ParseError("invalid exponent", self.cur.span,
                          ["number", "identifier", "'('"])
 
@@ -226,11 +244,16 @@ class _Parser:
         return product
 
     def factor(self) -> OperatorExpr:
-        base, start, end = self.base()
+        """base ('^' exponent)?; a failed scalar power points at the whole
+        of a '(' expr ')' base, else at its first token."""
+        tok = self.cur
+        base, last = (self.parenthesized(self.expr) if tok.kind == "("
+                      else (self.atom(), tok))
         if self.cur.kind != "^":
             return base
         caret = self.advance()
-        return self._apply_exponent(base, self.exponent(), start, end, caret)
+        return self._apply_exponent(base, self.exponent(), tok.start,
+                                    last.end, caret)
 
     def _apply_exponent(self, base: OperatorExpr, exp: ExponentExpr,
                         start: int, end: int, caret: _Token) -> OperatorExpr:
@@ -254,17 +277,6 @@ class _Parser:
             raise ParseError("unsupported exponent on compound expression",
                              caret.span, ["nonnegative integer"])
         return base.pow(n)
-
-    def base(self) -> tuple[OperatorExpr, int, int]:
-        """The base and the span a failed scalar power points at: the
-        whole of '(' expr ')', else the first token."""
-        tok = self.cur
-        if tok.kind != "(":
-            return self.atom(), tok.start, tok.end
-        self.advance()
-        inner = self.expr()
-        close = self.expect(")", "')'")
-        return inner, tok.start, close.end
 
     def atom(self) -> OperatorExpr:
         tok = self.cur
@@ -319,36 +331,19 @@ def parse_operator(text: str) -> OperatorExpr:
 # Printer
 # ---------------------------------------------------------------------------
 
-def _fraction_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _exponent_text(e: ExponentExpr) -> str:
     if e.is_constant:
-        if e.const.denominator == 1:
-            return str(e.const.numerator)
-        return f"({_fraction_text(e.const)})"
+        text = _number_text(e.const)
+        return text if e.const.denominator == 1 else f"({text})"
     if e.const == 0 and len(e.linear) == 1 and e.linear[0][1] == 1:
         return e.linear[0][0]
-    parts = []
-    if e.const:
-        parts.append(_fraction_text(e.const))
+    terms = [(e.const, [_number_text(abs(e.const))])] if e.const else []
     for name, coeff in e.linear:
-        sign = "-" if coeff < 0 else "+"
-        mag = abs(coeff)
-        if mag == 1:
-            piece = name
-        elif mag.denominator == 1:
-            piece = f"{mag.numerator}*{name}"
-        else:
-            piece = f"{mag.numerator}*{name}/{mag.denominator}"
-        if not parts:
-            parts.append(piece if sign == "+" else f"-{piece}")
-        else:
-            parts.append(f"{sign} {piece}")
-    return "(" + " ".join(parts) + ")"
+        num, den = abs(coeff.numerator), coeff.denominator
+        piece = name if num == 1 else f"{_number_text(num)}*{name}"
+        terms.append((coeff, [piece if den == 1
+                              else f"{piece}/{_number_text(den)}"]))
+    return f"({_sum_text(terms)})"
 
 
 def _factor_text(f: Factor) -> str:
@@ -363,71 +358,11 @@ def _factor_text(f: Factor) -> str:
     return f"{base}^{_exponent_text(f.exponent)}"
 
 
-def _term_pieces(monomial, value, imaginary: bool) -> list[str]:
-    pieces = []
-    if abs(value) != 1 or (not monomial and not imaginary):
-        pieces.append(_fraction_text(abs(value)))
-    if imaginary:
-        pieces.append("i")
-    for name, k in monomial:
-        pieces.append(name if k == 1 else f"{name}^{k}")
-    return pieces
-
-
-def _signed_terms(terms) -> list[tuple[int, list[str]]]:
-    """Signed monomial pieces, the real part of a term before its i part."""
-    out = []
-    for monomial, re, im in terms:
-        for value, imaginary in ((re, False), (im, True)):
-            if value:
-                out.append((-1 if value < 0 else 1,
-                            _term_pieces(monomial, value, imaginary)))
-    return out
-
-
-def _sum_text(terms: list[tuple[int, list[str]]]) -> str:
-    """'a - b + c' for signed terms, each term's pieces joined by ' * '."""
-    body = ""
-    for i, (sign, pieces) in enumerate(terms):
-        chunk = " * ".join(pieces)
-        if i == 0:
-            body = ("-" if sign < 0 else "") + chunk
-        else:
-            body += (" - " if sign < 0 else " + ") + chunk
-    return body
-
-
-def _coefficient_text(s: ScalarExpr) -> tuple[int, str]:
-    """(sign, text) for a coefficient; multi-term coefficients get parens."""
-    num, den = s.as_fraction()
-    num_terms = _signed_terms(num)
-    if not num_terms:
-        return 1, "0"
-    if len(num_terms) == 1:
-        sign, pieces = num_terms[0]
-        text = " * ".join(pieces)
-    else:
-        sign, text = 1, f"({_sum_text(num_terms)})"
-    if den is not None:
-        inverse = _inverse_text(den)
-        text = f"{text} * {inverse}" if text != "1" else inverse
-    return sign, text
-
-
-def _inverse_text(den) -> str:
-    """den^-1 for the one-term denominator of ScalarExpr.as_fraction: a
-    positive integer times a monomial with no negative exponent."""
-    ((monomial, value, _),) = den
-    if value == 1 and len(monomial) == 1:  # alpha^-2, not alpha^2^-1
-        ((name, k),) = monomial
-        return f"{name}^-{k}"
-    return "(" + " * ".join(_term_pieces(monomial, value, False)) + ")^-1"
-
-
 def print_operator(e: OperatorExpr) -> str:
     """The words of ``e`` in the order given; a normal form prints in the
     order :func:`qorder.ordering.normal_order` sorts it into, and
-    re-parses to the same normal form."""
+    re-parses to the same normal form.  Coefficients print by
+    :mod:`qorder.scalars`, which refuses a number too long to read back."""
     if not e.words:
         return "0"
     terms = []

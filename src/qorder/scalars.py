@@ -23,12 +23,16 @@ raises :class:`ScalarError`.  The paper's orderings need no more.
 Rational functions would need a polynomial gcd to keep each fraction
 reduced, and the primitive remainder sequence (W. S. Brown, J. ACM 18,
 478 (1971)) grows in degree and in digits on ordinary inputs.
+
+The text of a coefficient is made here, from the dict, so printing a
+scalar loads no parser.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from ._value import Value, _set
@@ -69,7 +73,7 @@ def _param_name(p) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian rationals, monomials and polynomials
+# Gaussian rationals, monomials, polynomials and their text
 # ---------------------------------------------------------------------------
 
 def _rational(v):
@@ -123,13 +127,6 @@ def _mono_inv(m):
     return tuple((name, -e) for name, e in m)
 
 
-def _order_key(m):
-    """Graded-lex order for monomials without negative exponents: higher
-    total degree first, then higher powers of the parameters that come
-    first in name order."""
-    return (-sum(e for _, e in m), tuple((name, -e) for name, e in m))
-
-
 def _accumulate(out, m, c):
     old = out.get(m)
     if old is not None:
@@ -157,34 +154,79 @@ def _pmul(a, b):
     return out
 
 
-def _pmono(poly, m, c):
-    """poly * c * m; no two terms can merge."""
-    return {_mono_mul(pm, m): _gmul(pc, c) for pm, pc in poly.items()}
-
-
 def _conj(poly):
     return {m: (re, -im) for m, (re, im) in poly.items()}
-
-
-def _terms(poly):
-    """(monomial, re, im) triples in graded-lex order."""
-    return [(m, re, im) for m, (re, im) in
-            sorted(poly.items(), key=lambda item: _order_key(item[0]))]
 
 
 def _params_of(poly) -> set[str]:
     return {name for m in poly for name, _ in m}
 
 
-def _clearing(poly):
-    """The least monomial whose product with poly has no negative
-    exponent."""
-    low = {}
+def _number_text(v) -> str:
+    """str(v); past sys.get_int_max_str_digits() digits, a ScalarError."""
+    try:
+        return str(v)
+    except ValueError:
+        raise ScalarError(f"cannot print a number of more than"
+                          f" {sys.get_int_max_str_digits()} digits: the"
+                          " grammar would not read it back") from None
+
+
+def _pieces(m, value, imaginary: bool) -> list[str]:
+    """The factors of |value| * (i) * m, without a 1 that others follow."""
+    pieces = ([_number_text(abs(value))]
+              if abs(value) != 1 or not (m or imaginary) else [])
+    if imaginary:
+        pieces.append("i")
+    return pieces + [name if k == 1 else f"{name}^{_number_text(k)}"
+                     for name, k in m]
+
+
+def _sum_text(terms) -> str:
+    """'a - b + c' for (sign, pieces) terms, pieces joined by ' * '."""
+    text = "".join((" - " if sign < 0 else " + ") + " * ".join(pieces)
+                   for sign, pieces in terms)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _graded_lex(item):
+    """Highest total degree first, then higher powers of earlier names."""
+    return -sum(e for _, e in item[0]), [(name, -e) for name, e in item[0]]
+
+
+def _coefficient_text(s: "ScalarExpr") -> tuple[int, str]:
+    """(sign, text) of a coefficient: the polynomial times the least
+    monomial and integer that clear its negative exponents and fractions,
+    then their inverse, as in ``3 * (2 * alpha * hbar^2)^-1``.  Terms go
+    in graded-lex order, the real part of a term before its i part; two
+    or more get parentheses."""
+    poly, low = s._num, {}
     for m in poly:
         for name, e in m:
             if e < low.get(name, 0):
                 low[name] = e
-    return tuple(sorted((name, -e) for name, e in low.items()))
+    if low:
+        clear = tuple(sorted((name, -e) for name, e in low.items()))
+        scale = math.lcm(*(part.denominator for c in poly.values()
+                           for part in c))
+        poly = {_mono_mul(m, clear): _gmul(c, (scale, 0))
+                for m, c in poly.items()}
+    terms = [(-1 if value < 0 else 1, _pieces(m, value, imaginary))
+             for m, (re, im) in sorted(poly.items(), key=_graded_lex)
+             for value, imaginary in ((re, False), (im, True)) if value]
+    if not terms:
+        return 1, "0"
+    if len(terms) == 1:
+        sign, text = terms[0][0], " * ".join(terms[0][1])
+    else:
+        sign, text = 1, f"({_sum_text(terms)})"
+    if not low:
+        return sign, text
+    if scale == 1 and len(clear) == 1:  # alpha^-2, not (alpha^2)^-1
+        inverse = f"{clear[0][0]}^-{_number_text(clear[0][1])}"
+    else:
+        inverse = "(" + " * ".join(_pieces(clear, scale, False)) + ")^-1"
+    return sign, inverse if text == "1" else f"{text} * {inverse}"
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +288,6 @@ class ScalarExpr:
 
     def depends_on(self, param) -> bool:
         return _param_name(param) in self.free_params()
-
-    def as_fraction(self):
-        """(numerator, denominator) as lists of ``(monomial, re, im)``
-        terms in graded-lex order, with no negative exponent.
-
-        The denominator is None when no exponent is negative.  Otherwise
-        it is one term: the monomial that clears the negative exponents
-        times the least integer that makes every coefficient of the
-        numerator, scaled by the same term, a Gaussian integer.
-        """
-        num = self._num
-        clear = _clearing(num)
-        if not clear:
-            return _terms(num), None
-        scale = math.lcm(*(part.denominator for c in num.values()
-                           for part in c))
-        return _terms(_pmono(num, clear, (scale, 0))), [(clear, scale, 0)]
 
     # -- arithmetic -----------------------------------------------------
     @staticmethod
@@ -350,7 +375,6 @@ class ScalarExpr:
         return f"ScalarExpr({self})"
 
     def __str__(self):
-        from .parser import _coefficient_text
         sign, text = _coefficient_text(self)
         return "-" + text if sign < 0 else text
 

@@ -30,22 +30,16 @@ def _rational(value):
     return sympy.Rational(value.numerator, value.denominator)
 
 
-def _poly_to_sympy(terms):
+def to_sympy(s: ScalarExpr):
+    """The coefficient as a sympy expression, term by term of its Laurent
+    polynomial."""
     total = sympy.Integer(0)
-    for monomial, re, im in terms:
+    for monomial, (re, im) in s._num.items():
         term = _rational(re) + sympy.I * _rational(im)
         for name, k in monomial:
             term *= symbol(name) ** k
         total += term
     return total
-
-
-def to_sympy(s: ScalarExpr):
-    """The coefficient as a sympy expression."""
-    num, den = s.as_fraction()
-    if den is None:
-        return _poly_to_sympy(num)
-    return _poly_to_sympy(num) / _poly_to_sympy(den)
 
 
 def from_sympy(expr) -> ScalarExpr:
@@ -71,12 +65,10 @@ def scalar_eval(s: ScalarExpr, bindings: dict) -> complex:
     missing = s.free_params() - {str(k) for k in bindings}
     if missing:
         raise ScalarError("unbound parameter: " + ", ".join(sorted(missing)))
-    num, den = s.as_fraction()
-    den_val = (1 if den is None
-               else complex(_poly_to_sympy(den).subs(values).evalf()))
-    if den_val == 0:
+    if any(k < 0 and values[symbol(name)] == 0
+           for monomial in s._num for name, k in monomial):
         raise ScalarError("pole at binding")
-    return complex(_poly_to_sympy(num).subs(values).evalf()) / den_val
+    return complex(to_sympy(s).subs(values).evalf())
 
 
 def scalar_diff(s: ScalarExpr, name) -> ScalarExpr:

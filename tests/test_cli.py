@@ -121,6 +121,68 @@ def test_normal_order_long_number_is_a_parse_error():
         assert proc.stdout == ""
 
 
+def test_normal_order_long_printed_number_is_named():
+    """A coefficient or exponent of more than 4300 digits, which the
+    grammar cannot read back, is an error that says so (exit 3)."""
+    digits = "9" * 4300
+    for text in ("2^20000 * x", f"(alpha^{digits})^{digits} * x",
+                 f"x^{digits} * x^{digits}"):
+        proc = run_cli("normal-order", text,
+                       env_extra={"PYTHONINTMAXSTRDIGITS": "4300"})
+        assert (proc.returncode, proc.stdout) == (3, ""), text[:20]
+        assert proc.stderr == ("error: cannot print a number of more than"
+                               " 4300 digits: the grammar would not read it"
+                               " back\n"), text[:20]
+
+
+def test_normal_order_exponent_beyond_float_range(capsys):
+    """Word degrees are compared exactly, so an exponent of 400 digits,
+    past the range of a float, orders like any other."""
+    n = 10 ** 400 - 1
+    assert main(["normal-order", f"p * x^{n}"]) == 0
+    assert capsys.readouterr() == (
+        f"x^{n} * p - {n} * i * hbar * x^{n - 1}\n", "")
+    assert main(["normal-order", f"x^({n}*alpha) * p"]) == 0
+    assert capsys.readouterr() == (f"x^({n}*alpha) * p\n", "")
+
+
+def test_normal_order_exact_degree_tie_goes_by_text(capsys):
+    """The g''(x) and g'(x)^2 words have exactly the same degrees, so the
+    factors' text orders them: g''(x) first."""
+    assert main(["normal-order", "p^2 * x^alpha * g(x)^(alpha/3)"]) == 0
+    assert capsys.readouterr() == (
+        "x^alpha * g(x)^(alpha/3) * p^2"
+        " - 2/3 * i * alpha * hbar * x^alpha * g(x)^(-1 + alpha/3) * g'(x) * p"
+        " - 2 * i * alpha * hbar * x^(-1 + alpha) * g(x)^(alpha/3) * p"
+        " - 1/3 * alpha * hbar^2 * x^alpha * g(x)^(-1 + alpha/3) * g''(x)"
+        " + (-1/9 * alpha^2 * hbar^2 + 1/3 * alpha * hbar^2)"
+        " * x^alpha * g(x)^(-2 + alpha/3) * g'(x)^2"
+        " - 2/3 * alpha^2 * hbar^2 * x^(-1 + alpha) * g(x)^(-1 + alpha/3)"
+        " * g'(x)"
+        " + (-alpha^2 * hbar^2 + alpha * hbar^2) * x^(-2 + alpha)"
+        " * g(x)^(alpha/3)\n", "")
+
+
+def test_normal_order_nesting_limit(capsys):
+    """Parentheses nest at most 200 deep, in expressions and exponents
+    together; the 201st '(' is a parse error (exit 2), not a
+    RecursionError."""
+    for text, span in (("(" * 1000 + "x" + ")" * 1000, "200..201"),
+                       ("x^" + "(" * 1000 + "1" + ")" * 1000, "202..203"),
+                       ("(" * 150 + "x^" + "(" * 51 + "1" + ")" * 201,
+                        "202..203")):
+        assert main(["normal-order", text]) == 2
+        assert capsys.readouterr() == (
+            "", f"parse error: parentheses nested more than 200 deep"
+                f" at {span}\n")
+    for text, out in (("(" * 200 + "p * x" + ")" * 200, "x * p - i * hbar"),
+                      ("x^" + "(" * 200 + "1 - alpha" + ")" * 200,
+                       "x^(1 - alpha)"),
+                      ("(" * 150 + "x^" + "(" * 50 + "2" + ")" * 200, "x^2")):
+        assert main(["normal-order", text]) == 0
+        assert capsys.readouterr() == (out + "\n", "")
+
+
 def test_normal_order_parse_error_span():
     proc = run_cli("normal-order", "x^(1/2")
     assert proc.returncode == 2
@@ -256,6 +318,9 @@ _GOLDEN = [
     (["normal-order", _TWO_SIDED, "--hermitize-scale", "--format", "csv"], 0,
      'representation,normal_form\n'
      'coordinate,"x * p^2 - i * hbar * p + a * g * hbar^2 * x^-1"\n', ""),
+    (["normal-order", "x^(alpha/2)"], 0, "x^(alpha/2)\n", ""),
+    (["normal-order", "p * x^(-alpha/2)"], 0,
+     "x^(-alpha/2) * p + 1/2 * i * alpha * hbar * x^(-1 - alpha/2)\n", ""),
     (["normal-order", "x^(1/2"], 2, "",
      "parse error: unexpected token 'end of input' at 6..6"
      " (expected ')')\n"),
@@ -636,6 +701,16 @@ def run_probed(*args):
                           capture_output=True, text=True, timeout=600)
     proc.stderr, _, loaded = proc.stderr.rpartition("\n")
     return proc, set(loaded.split())
+
+
+def test_printing_a_scalar_loads_no_parser():
+    """A coefficient prints from qorder.scalars alone."""
+    code = ("import sys, qorder.scalars; "
+            "text = str(qorder.scalars.ScalarExpr.param('alpha') ** -1); "
+            "sys.exit(text != 'alpha^-1' or 'qorder.parser' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_symbolic_commands_do_not_import_numpy():

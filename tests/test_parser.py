@@ -125,8 +125,22 @@ def test_printer_symbolic_exponents():
     assert print_operator(nf.as_operator_expr()) == "x^(1 - alpha) * p"
 
 
+@pytest.mark.parametrize("exponent, printed", [
+    ("alpha/2", "(alpha/2)"), ("-3*alpha/4", "(-3*alpha/4)"),
+    ("(1 - alpha)/3", "(1/3 - alpha/3)"), ("-alpha/2 - 1", "(-1 - alpha/2)"),
+    ("alpha/2 + 3*beta/5 - gamma", "(alpha/2 + 3*beta/5 - gamma)")])
+def test_exponent_text_round_trip(exponent, printed):
+    """A parameter's coefficient of 1/d prints as name/d, never 1*name/d,
+    and every printed exponent parses back to itself."""
+    expr = parse_operator(f"x^({exponent})")
+    text = print_operator(expr)
+    assert text == f"x^{printed}"
+    assert parse_operator(text).words[0].factors == expr.words[0].factors
+
+
 _EXPONENTS = st.sampled_from(
-    ["", "^2", "^3", "^-1", "^(1/2)", "^alpha", "^(1-alpha)", "^(2*beta)"])
+    ["", "^2", "^3", "^-1", "^(1/2)", "^alpha", "^(1-alpha)", "^(2*beta)",
+     "^(alpha/2)", "^(-3*alpha/4)"])
 _COEFFS = st.sampled_from(["", "2 * ", "1/3 * ", "i * ", "hbar * ", "alpha * "])
 
 
