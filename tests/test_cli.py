@@ -337,8 +337,8 @@ _GOLDEN = [
                          ids=[" ".join(case[0]) for case in _GOLDEN])
 def test_symbolic_commands_golden_bytes(capsys, argv, code, stdout, stderr):
     """The exact stdout, stderr and exit code of the symbolic commands: the
-    README's normal-order examples, each symbolic verify suite, and three
-    malformed inputs, in process."""
+    README's normal-order examples, exponents with a 1/d coefficient, each
+    symbolic verify suite, and three malformed inputs, in process."""
     assert main(argv) == code
     assert capsys.readouterr() == (stdout, stderr)
 
