@@ -3,9 +3,12 @@
 Power series for z <= 30, Hankel asymptotic expansion beyond; every
 value carries a rigorous absolute error bound from the truncation
 analysis in ``_j_series`` and ``_j_asymptotic``.  The series is
-accumulated in double-double arithmetic (error-free transforms, Dekker
-splitting), so that the bound stays below 1e-10 through the switch at
-z = 30 despite the alternating-term cancellation.  Orders run up to
+summed in 38-digit ``decimal`` arithmetic, so that the bound stays
+below 1e-10 through the switch at z = 30 despite the alternating-term
+cancellation; the bound adds the truncated tail, the decimal rounding
+(6 k u times the sum of |terms| after k terms, u the unit roundoff of
+the 38 digits) and the relative error of the first term, computed in
+floats.  The caller's decimal context is left alone.  Orders run up to
 170, where Gamma(nu + 1) in the series' first term is still a finite
 float.  The module imports no numpy.
 """
@@ -13,6 +16,7 @@ float.  The module imports no numpy.
 from __future__ import annotations
 
 import math
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
 from ._value import Value, _set
 from .errors import BesselDomainError
@@ -31,125 +35,52 @@ class BesselEval(Value):
 
 
 # ---------------------------------------------------------------------------
-# double-double building blocks
-# ---------------------------------------------------------------------------
-
-_SPLIT = 134217729.0   # 2^27 + 1, Dekker's splitting constant
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-# ---------------------------------------------------------------------------
 # Bessel J: power series (z <= 30) and Hankel asymptotics (z > 30)
 # ---------------------------------------------------------------------------
+
+# the series' working precision; the bound's unit roundoff follows from it
+_CTX = Context(prec=38, rounding=ROUND_HALF_EVEN)
+_U = 0.5 * 10.0 ** (1 - _CTX.prec)
+_STOP_ABS = Decimal("1e-25")
+_STOP_REL = Decimal("1e-17")
+_TINY = Decimal("1e-300")
+
 
 def _j_series(nu, z):
     """(value, rigorous abs error bound) for nu > -1 with Gamma(nu + 1)
     finite; the value also for any other non-integer nu."""
     x = 0.5 * z
-    s, e = _two_sum(nu, 1.0)  # nu + 1 = s + e exactly
+    s = nu + 1.0
+    e = math.fsum((nu, 1.0, -s))  # nu + 1 = s + e exactly
     t0 = x ** nu / math.gamma(s)
-    sh, sl = t0, 0.0
-    th, tl = t0, 0.0
-    x2h, x2l = _two_prod(x, x)
-    # The loop's double-double steps are written out, as two-sums and
-    # Dekker products (_two_sum, _two_prod) with the operations in
-    # order, the zero low parts included; -x2h is split once.
-    mh, ml = -x2h, -x2l
-    t = _SPLIT * mh
-    mhh = t - (t - mh)
-    mhl = mh - mhh
-    max_term = abs(t0)
-    trunc = abs(t0)
-    k = 0
-    while k < 2000:
-        k1 = k + 1.0
-        # (dh, dl) = (k + 1 + nu) * (k + 1)
-        a = k1 + nu
-        bb = a - k1
-        al = (k1 - (a - bb)) + (nu - bb)
-        p = a * k1
-        t = _SPLIT * a
-        ah = t - (t - a)
-        alo = a - ah
-        t = _SPLIT * k1
-        bh = t - (t - k1)
-        blo = k1 - bh
-        err = ((ah * bh - p) + ah * blo + alo * bh) + alo * blo
-        err += a * 0.0 + al * k1
-        dh = p + err
-        dl = err - (dh - p)
-        # (th, tl) = (th, tl) * (-x2h, -x2l)
-        p = th * mh
-        t = _SPLIT * th
-        ah = t - (t - th)
-        alo = th - ah
-        err = ((ah * mhh - p) + ah * mhl + alo * mhh) + alo * mhl
-        err += th * ml + tl * mh
-        th = p + err
-        tl = err - (th - p)
-        # (th, tl) = (th, tl) / (dh, dl): q1 = th / dh, (ph, pl) =
-        # q1 * (dh, dl), (rh, rl) = (th, tl) - (ph, pl), q2 = r / dh
-        q1 = th / dh
-        p = q1 * dh
-        t = _SPLIT * q1
-        ah = t - (t - q1)
-        alo = q1 - ah
-        t = _SPLIT * dh
-        bh = t - (t - dh)
-        blo = dh - bh
-        err = ((ah * bh - p) + ah * blo + alo * bh) + alo * blo
-        err += q1 * dl + 0.0 * dh
-        ph = p + err
-        pl = err - (ph - p)
-        rs = th - ph
-        bb = rs - th
-        err = (th - (rs - bb)) + (-ph - bb)
-        err += tl - pl
-        rh = rs + err
-        rl = err - (rh - rs)
-        q2 = (rh + rl) / dh
-        th = q1 + q2
-        tl = q2 - (th - q1)
-        # (sh, sl) = (sh, sl) + (th, tl)
-        ss = sh + th
-        bb = ss - sh
-        err = (sh - (ss - bb)) + (th - bb)
-        err += sl + tl
-        sh = ss + err
-        sl = err - (sh - ss)
-        if abs(sh) > max_term:
-            max_term = abs(sh)
-        if abs(th) > max_term:
-            max_term = abs(th)
-        trunc = abs(th)
-        k += 1
-        if k > x and trunc < 1e-17 * (abs(sh) + 1e-300) and trunc < 1e-25:
-            break
-    value = sh + sl
-    # truncation (geometric tail, ratio < 1/2 once k > x), double-double
-    # rounding, and the relative error of t0: float pow, math.gamma and
+    with localcontext(_CTX):
+        t = total = Decimal(t0)
+        abs_sum = abs(t)
+        minus_x2 = -(Decimal(x) * Decimal(x))
+        dnu = Decimal(nu)
+        k = 0
+        while k < 2000:
+            k += 1
+            t = t * minus_x2 / (k * (k + dnu))
+            total += t
+            size = abs(t)
+            abs_sum += size
+            if (k > x and size < _STOP_ABS
+                    and size < _STOP_REL * (abs(total) + _TINY)):
+                break
+        value = float(total)
+        trunc = float(size)
+        magnitude = float(abs_sum)
+    # truncation (geometric tail, ratio < 1/2 once k > x); the decimal
+    # rounding: term k carries 5k roundings (per step the rounded x^2,
+    # k + nu, the product by k, by -x^2 and the division) and the sum
+    # one per step; and the relative error of t0: float pow, math.gamma and
     # the division (5e-15), plus Gamma(s + e) / Gamma(s) - 1 ~ psi(s) e
     # for the argument s that nu + 1 rounds to, where
     # |psi(s)| < |ln s| + 1 / s for s > 0
     rel = 5e-15 + ((abs(math.log(s)) + 1.0 / s) * abs(e) if e else 0.0)
-    bound = 2.0 * trunc + k * 1e-31 * max_term + rel * abs(value) + 1e-300
+    bound = (2.0 * trunc + 6 * k * _U * magnitude + rel * abs(value)
+             + 1e-300)
     return value, bound
 
 

@@ -122,15 +122,30 @@ def _cmd_verify(args) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
+# the most points --x-grid may ask for: the grid is built as a list and
+# every point runs a reconstruction, so a larger count would hold memory
+# and time out of proportion to a table that anyone reads
+_GRID_MAX = 1_000_000
+
+
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid spec must be start:stop:count")
+    # a count too long for int() (4300 digits from Python 3.11 on) is
+    # named by its length, before int() gets to it
+    digits = parts[2].strip().lstrip("+-").replace("_", "")
+    if digits.isdecimal() and len(digits) > len(str(_GRID_MAX)):
+        raise ValueError(f"grid count of {len(digits)} digits is beyond the "
+                         f"limit of {_GRID_MAX} points")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     _check_number("--x-grid start", start)
     _check_number("--x-grid stop", stop)
     if count < 1:
         raise ValueError("grid count must be >= 1")
+    if count > _GRID_MAX:
+        raise ValueError(f"grid count {count} is beyond the limit of "
+                         f"{_GRID_MAX} points")
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
@@ -201,8 +216,12 @@ def _cmd_solve(args) -> int:
                     str(failed).lower()]) + "\n")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            render(fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                render(fh)
+        except OSError as err:
+            raise _UsageError(f"cannot write --out {args.out!r}: "
+                              f"{err.strerror or err}") from None
     else:
         render(sys.stdout)
     return EXIT_NUMERIC if any_failed else EXIT_OK

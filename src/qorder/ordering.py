@@ -79,9 +79,6 @@ def _validate_word(word: OperatorWord, convention: Convention) -> None:
         if f.kind is moving:
             n = f.exponent.as_int()
             if n is None or n < 0:
-                if not f.exponent.is_constant:
-                    raise OrderingError("cannot normal-order symbolic power"
-                                        " of the moving operator")
                 raise OrderingError(
                     f"cannot normal-order {_factor_text(f)}: the moving"
                     " operator needs a nonnegative integer power")

@@ -1,5 +1,6 @@
 """Bessel J: exact-rational series oracle, ODE and recurrence checks."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -60,23 +61,74 @@ def test_error_bounds_are_honest():
             assert got.abs_error_bound <= 1e-10
 
 
+def _series_zeros_near_switch():
+    """Each zero z0 in [15, 30] of J_0 ... J_3, J_{1/2} and J_{9/4}, as
+    (nu, z) for z0 rounded to a float, its two float neighbours and
+    z0 (1 - 1e-9): there the series cancels to a value near 0, so the
+    bound rests on its rounding terms, not on |value|."""
+    points = []
+    for nu in (0.0, 1.0, 2.0, 3.0, 0.5, 2.25):
+        m = 1
+        while True:
+            with mpmath.workdps(30):
+                z0 = float(mpmath.besseljzero(mpmath.mpf(nu), m))
+            m += 1
+            if z0 > 30.0:
+                break
+            if z0 < 15.0:
+                continue
+            for z in (z0, math.nextafter(z0, 0.0), math.nextafter(z0, 31.0),
+                      z0 * (1.0 - 1e-9)):
+                points.append((nu, z))
+    return points
+
+
 def test_bounds_hold_against_mpmath_over_every_order():
     """Seeded draws over the whole accepted order range 0 <= nu <= 170,
     z log-uniform in [1e-3, 30] (the series branch) and in (30, 1e4]
-    (the asymptotic branch): no error exceeds its reported bound.  The
+    (the asymptotic branch), and the points at and beside the zeros of
+    _series_zeros_near_switch: no error exceeds its reported bound.  The
     series bound covers the rounding of nu + 1 before Gamma, which
     dominates for large non-integer orders."""
     rng = random.Random(1)
+    points = []
     for lo, hi in ((0.0, 4.0), (4.0, 12.0), (12.0, 40.0), (40.0, 170.0)):
         for z_lo, z_hi, draws in ((1e-3, 30.0, 300), (30.0, 1e4, 60)):
             for _ in range(draws):
                 nu = rng.uniform(lo, hi)
                 z = math.exp(rng.uniform(math.log(z_lo), math.log(z_hi)))
-                got = bessel_j(nu, z)
-                with mpmath.workdps(40):
-                    want = mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(z))
-                assert abs(got.value - want) <= got.abs_error_bound, \
-                    (nu, z, got, float(want))
+                points.append((nu, z))
+    zeros = _series_zeros_near_switch()
+    assert len(zeros) == 112
+    for nu, z in points + zeros:
+        got = bessel_j(nu, z)
+        with mpmath.workdps(60):
+            want = mpmath.besselj(mpmath.mpf(nu), mpmath.mpf(z))
+        assert abs(got.value - want) <= got.abs_error_bound, \
+            (nu, z, got, float(want))
+
+
+def test_caller_decimal_context_is_left_alone():
+    """The series runs in its own decimal context: under a caller's
+    5-digit context that traps FloatOperation the values keep their bits,
+    and the caller's flags stay as they were."""
+    cases = [(nu, z) for nu in (0.0, 0.25, 2.0, 37.5)
+             for z in (0.5, 7.0, 29.0, 45.0)]
+    outside = [(bessel_j(nu, z), bessel_j_derivatives(nu, z))
+               for nu, z in cases]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        ctx.traps[decimal.FloatOperation] = True
+        ctx.clear_flags()
+        flags = dict(ctx.flags)
+        inside = [(bessel_j(nu, z), bessel_j_derivatives(nu, z))
+                  for nu, z in cases]
+        assert dict(ctx.flags) == flags
+        assert not any(flags.values())
+    for (j_out, d_out), (j_in, d_in) in zip(outside, inside):
+        assert j_in.value.hex() == j_out.value.hex()
+        assert j_in.abs_error_bound.hex() == j_out.abs_error_bound.hex()
+        assert [v.hex() for v in d_in] == [v.hex() for v in d_out]
 
 
 def test_large_argument_matches_series_extension():

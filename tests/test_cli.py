@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from qorder.cli import main
+from qorder.cli import _parse_grid, main
 from qorder.identities import IDENTITIES, suite
 
 
@@ -53,8 +53,9 @@ def test_normal_order_unbounded_moving_power():
 def test_normal_order_momentum_rejects_symbolic_power():
     proc = run_cli("normal-order", "x^q * p", "--rep", "momentum")
     assert proc.returncode == 3
-    assert "cannot normal-order symbolic power of the moving operator" \
-        in proc.stderr
+    assert proc.stderr == ("ordering error: cannot normal-order x^q: the"
+                           " moving operator needs a nonnegative integer"
+                           " power\n")
     assert proc.stdout == ""
 
 
@@ -484,6 +485,23 @@ def test_solve_bad_grid():
     assert "bad grid" in proc.stderr
 
 
+def test_solve_grid_count_limit(capsys):
+    """A count above the limit, or too long for int() to convert, is a
+    bad grid that names the count or its length and the limit; no list
+    of that many points is built."""
+    with pytest.raises(ValueError, match=r"^grid count 1000001 is beyond "
+                                         r"the limit of 1000000 points$"):
+        _parse_grid("0:1:1000001")
+    with pytest.raises(ValueError, match=r"^grid count of 5000 digits is "
+                                         r"beyond the limit of 1000000 "
+                                         r"points$"):
+        _parse_grid("0:1:" + "9" * 5000)
+    assert main(["solve", "--E", "1", "--x-grid", "0:1:" + "1" * 5000]) == 2
+    assert capsys.readouterr() == (
+        "", "bad grid: grid count of 5000 digits is beyond the limit of "
+            "1000000 points\n")
+
+
 def test_solve_rejects_a_grid_step_that_overflows(capsys):
     """A step (stop - start) / (count - 1) beyond the largest float would
     put nan and inf on the grid; it is a bad grid that names the step."""
@@ -557,6 +575,18 @@ def test_solve_out_file(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert out.read_text().startswith("x,psi_re")
+
+
+def test_solve_out_unwritable_is_a_usage_error(tmp_path, capsys):
+    """An --out path that cannot be opened for writing is named with the
+    system's reason, exit 2, instead of a traceback."""
+    missing = tmp_path / "missing" / "recon.csv"
+    for out, reason in ((missing, "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        assert main(["solve", "--E", "1", "--x-grid", "0:1:2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"cannot write --out {str(out)!r}: {reason}\n")
 
 
 # -- order-scan ---------------------------------------------------------------------
