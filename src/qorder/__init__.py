@@ -5,10 +5,11 @@ reconstruction, ODE residuals).
 ``import qorder`` loads no submodule: every public name is imported
 from its module on first access, and so is every module named in the
 table below (``qorder.parser``, ``qorder.bessel``, ...), so a program
-loads only the layers it uses.  Of the modules only ``quadrature`` and
-``verification`` load numpy; ``bessel`` and ``coordinate`` (the Bessel
-side and the order fit) are plain Python.  The errors of every layer
-live in ``errors``, which imports none of them.
+loads only the layers it uses.  Every module is plain Python: the
+Bessel side and the order fit (``bessel``, ``coordinate``) and the lobe
+quadrature (``quadrature``, ``verification``) alike, and the package
+depends on nothing outside the standard library.  The errors of every
+layer live in ``errors``, which imports none of them.
 """
 
 import importlib

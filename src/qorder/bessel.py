@@ -10,7 +10,7 @@ cancellation; the bound adds the truncated tail, the decimal rounding
 the 38 digits) and the relative error of the first term, computed in
 floats.  The caller's decimal context is left alone.  Orders run up to
 170, where Gamma(nu + 1) in the series' first term is still a finite
-float.  The module imports no numpy.
+float.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ Each command imports only the layer it uses and catches every layer's
 errors from :mod:`qorder.errors`: ``normal-order`` and the symbolic
 ``verify`` suites load no numeric module, ``order-scan``, ``solve``
 and ``verify --identity eq11`` no parser or ordering engine, and only
-``solve`` and ``verify``'s ``eq11`` rows load numpy, for the lobe
-quadrature.
+``solve`` and ``verify``'s ``eq11`` rows load the lobe quadrature.
+Every layer is plain Python; no command loads numpy.
 """
 
 from __future__ import annotations

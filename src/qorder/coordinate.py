@@ -2,7 +2,8 @@
 eigenfunction psi(x) = J_nu(2 sqrt(E x) / hbar), its ODE residual, and
 the fit of the Bessel order nu to the coupling alpha gamma.
 
-The module imports no numpy, so ``qorder order-scan`` starts without it.
+The module imports no quadrature, so ``qorder order-scan`` starts
+without the lobe kernel.
 """
 
 from __future__ import annotations

@@ -32,7 +32,9 @@ class BaseKind(enum.Enum):
 
 
 class Factor(Value):
-    __slots__ = _fields = ("kind", "exponent", "name", "deriv")
+    _fields = ("kind", "exponent", "name", "deriv")
+    # _text: the printed text, set by qorder.parser on first print
+    __slots__ = _fields + ("_text",)
 
     def __init__(self, kind: BaseKind, exponent: ExponentExpr,
                  name: str = "", deriv: int = 0):

@@ -32,6 +32,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._value import _set
 from .errors import ParseError, SourceSpan
 from .exponents import ONE_EXP, ExponentExpr
 from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
@@ -347,15 +348,20 @@ def _exponent_text(e: ExponentExpr) -> str:
 
 
 def _factor_text(f: Factor) -> str:
-    if f.kind is BaseKind.X:
-        base = "x"
-    elif f.kind is BaseKind.P:
-        base = "p"
-    else:
-        base = f.name + "'" * f.deriv + "(x)"
-    if f.exponent == ONE_EXP:
-        return base
-    return f"{base}^{_exponent_text(f.exponent)}"
+    """The factor's text, formatted on the first call and kept in the
+    factor, so that normal_order's sort and the printer share it."""
+    text = getattr(f, "_text", None)
+    if text is None:
+        if f.kind is BaseKind.X:
+            text = "x"
+        elif f.kind is BaseKind.P:
+            text = "p"
+        else:
+            text = f.name + "'" * f.deriv + "(x)"
+        if f.exponent != ONE_EXP:
+            text = f"{text}^{_exponent_text(f.exponent)}"
+        _set(f, "_text", text)
+    return text
 
 
 def print_operator(e: OperatorExpr) -> str:

@@ -8,12 +8,12 @@ sin(a u + b/u) du / u.  For a, b > 0, u = sqrt(b/a) e^t and
 z = 2 sqrt(a b) turn the phase into z cosh t (the Mehler-Sonine form,
 DLMF 10.9.9; Watson, *Theory of Bessel Functions* 6.21), so Phi is
 twice the half-line integral of sin(z cosh t), summed lobe by lobe
-between the closed-form zeros of its phase (see :mod:`qorder._kernels`)
-in one block of at most 24 lobes.  For a < 0 < b, Phi is 0 exactly:
+between the closed-form zeros of its phase (see :mod:`qorder._kernels`),
+at most 24 lobes.  For a < 0 < b, Phi is 0 exactly:
 the substitution u -> b/(|a| u) maps Phi(a, b) to -Phi(a, b) (in the
 same variables the phase is -z sinh t, odd in t), so nothing is
 integrated there.  A half-line integral that does not settle within
-its block raises :class:`QuadratureError`.
+its lobe budget raises :class:`QuadratureError`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ _Q_FLOOR = 1e-12        # smallest phase coupling q = |a| b evaluated
 
 
 class QuadratureSpec(Value):
-    """The lobe budget of a half-line integral.  Its one block holds
-    at most 24 lobes, so the budget caps the block: a budget below 24
-    sums fewer lobes, and one above it sums no more than 24."""
+    """The lobe budget of a half-line integral.  The kernel sums at
+    most 24 lobes, so a budget below 24 sums fewer, and one above it
+    sums no more than 24."""
 
     __slots__ = _fields = ("max_subdivisions",)
 

@@ -183,8 +183,7 @@ def test_derivative_against_finite_difference():
 
 
 def test_values_are_python_floats():
-    """Both branches hand out Python floats whichever kernel path runs;
-    the pure-Python kernels alone would return numpy scalars."""
+    """Both branches hand out Python floats, also for the derivatives."""
     for z in (2.0, 40.0):  # series branch, asymptotic branch (z > 30)
         got = bessel_j(0.0, z)
         assert type(got.value) is float

@@ -1,5 +1,6 @@
 """CLI contract: golden outputs, exit codes, determinism, formats."""
 
+import importlib.util
 import json
 import math
 import os
@@ -350,8 +351,8 @@ _SCAN = ["order-scan", "--alpha-gamma", "0", "0.25", "--format"]
 _SOLVE = ["solve", "--E", "1", "--x-grid=-1:2:4", "--format"]
 _EQ11 = [(a, b, residual) for (a, b), residual in zip(
     [(a, b) for a in ("0.5", "1.0", "2.0") for b in ("0.5", "1.0", "2.0")],
-    ("6.661e-16", "6.661e-16", "4.996e-16", "6.661e-16", "4.996e-16",
-     "1.499e-15", "4.996e-16", "1.499e-15", "3.331e-16"))]
+    ("6.661e-16", "2.220e-16", "5.551e-17", "2.220e-16", "5.551e-17",
+     "1.110e-16", "5.551e-17", "1.110e-16", "4.441e-16"))]
 _NUMERIC_GOLDEN = [
     (_SCAN + ["human"],
      "alpha*gamma=0: fitted order 0.000000, 2*sqrt = 0.000000, "
@@ -375,22 +376,22 @@ _NUMERIC_GOLDEN = [
     (_SOLVE + ["csv"],
      "x,psi_re,psi_im,j0,ratio_re,ratio_im,failed\n"
      "-1.0,0.0,0.0,0.22389077914123567,0.0,0.0,false\n"
-     "0.0,0.0,6.283185307173308,1.0,0.0,6.283185307173308,false\n"
-     "1.0,0.0,1.4067472539132038,0.22389077914123567,0.0,"
-     "6.283185307179595,false\n"
-     "2.0,-0.0,-1.2349481043575337,-0.19654809527046826,-0.0,"
-     "6.283185307179555,false\n"),
+     "0.0,0.0,6.283185307173307,1.0,0.0,6.283185307173307,false\n"
+     "1.0,0.0,1.4067472539132015,0.22389077914123567,0.0,"
+     "6.283185307179585,false\n"
+     "2.0,-0.0,-1.23494810435754,-0.19654809527046826,-0.0,"
+     "6.283185307179588,false\n"),
     (_SOLVE + ["json"],
      '[{"x": -1.0, "psi_re": 0.0, "psi_im": 0.0, "j0": 0.22389077914123567, '
      '"ratio_re": 0.0, "ratio_im": 0.0, "failed": false}, '
-     '{"x": 0.0, "psi_re": 0.0, "psi_im": 6.283185307173308, "j0": 1.0, '
-     '"ratio_re": 0.0, "ratio_im": 6.283185307173308, "failed": false}, '
-     '{"x": 1.0, "psi_re": 0.0, "psi_im": 1.4067472539132038, '
+     '{"x": 0.0, "psi_re": 0.0, "psi_im": 6.283185307173307, "j0": 1.0, '
+     '"ratio_re": 0.0, "ratio_im": 6.283185307173307, "failed": false}, '
+     '{"x": 1.0, "psi_re": 0.0, "psi_im": 1.4067472539132015, '
      '"j0": 0.22389077914123567, "ratio_re": 0.0, '
-     '"ratio_im": 6.283185307179595, "failed": false}, '
-     '{"x": 2.0, "psi_re": -0.0, "psi_im": -1.2349481043575337, '
+     '"ratio_im": 6.283185307179585, "failed": false}, '
+     '{"x": 2.0, "psi_re": -0.0, "psi_im": -1.23494810435754, '
      '"j0": -0.19654809527046826, "ratio_re": -0.0, '
-     '"ratio_im": 6.283185307179555, "failed": false}]\n'),
+     '"ratio_im": 6.283185307179588, "failed": false}]\n'),
     (["verify", "--identity", "eq11", "--format", "json"],
      "[" + ", ".join(f'{{"id": "eq11[a={a},b={b}]", "pass": true, '
                      f'"detail": "max residual {residual}"}}'
@@ -717,14 +718,15 @@ def test_traced_cli_child_writes_its_spans(tmp_path):
 
 
 _PROBED = ("numpy", "dataclasses", "inspect", "qorder.parser",
-           "qorder.ordering", "qorder.identities")
+           "qorder.ordering", "qorder.identities", "qorder._kernels")
 
 
-def run_probed(*args):
+def run_probed(*args, setup=""):
     """run_cli through qorder.cli.main, plus the set of modules of _PROBED
-    that ``import qorder.cli`` and the command loaded."""
-    code = ("import sys; before = set(sys.modules); import qorder.cli; "
-            "code = qorder.cli.main(sys.argv[1:]); "
+    that ``import qorder.cli`` and the command loaded; ``setup``, if given,
+    is run first and counts as the command's."""
+    code = (f"import sys; before = set(sys.modules); {setup or 'pass'}; "
+            "import qorder.cli; code = qorder.cli.main(sys.argv[1:]); "
             f"sys.stderr.write('\\n' + ' '.join(m for m in {_PROBED!r} "
             "if m in sys.modules and m not in before)); sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code, *args],
@@ -781,21 +783,46 @@ def test_order_scan_does_not_import_numpy():
             assert len(proc.stdout.splitlines()) == 3
 
 
-def test_numeric_commands_import_numpy():
-    """The control for the tests above: the probe does see numpy."""
+def test_no_command_imports_numpy():
+    """No subcommand loads numpy: with the tests above for the symbolic
+    commands and order-scan, the numeric ones, whose lobe quadrature is
+    plain Python.  Nor does ``import qorder.verification``, the numeric
+    layer as a library."""
+    for args in (("solve", "--E", "1", "--x-grid", "0:1:2"),
+                 ("verify", "--identity", "eq11")):
+        proc, loaded = run_probed(*args)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert "numpy" not in loaded, args
+    code = ("import sys, qorder.verification; "
+            "sys.exit('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numeric_commands_load_the_kernel():
+    """The control for the tests above: the probe does see the lobe
+    kernel where solve and the eq11 rows of verify load it, and numpy
+    where something does import it."""
     out = {}
     for args in (("verify", "--identity", "eq11"),
                  ("solve", "--E", "1", "--x-grid", "0:1:2")):
         proc, loaded = run_probed(*args)
         assert proc.returncode == 0, (args, proc.stderr)
         assert proc.stdout == run_cli(*args).stdout
-        assert "numpy" in loaded, args
+        assert "qorder._kernels" in loaded, args
         out[args[0]] = proc.stdout
     assert [line.split(":")[0] for line in out["verify"].splitlines()] \
         == [f"PASS {row.id}" for row in IDENTITIES if suite(row) == "eq11"]
     header, origin, _ = out["solve"].splitlines()
     assert header == "x,psi_re,psi_im,j0,ratio_re,ratio_im,failed"
     assert origin.split(",")[0::3] == ["0.0", "1.0", "false"]
+    if importlib.util.find_spec("numpy") is not None:
+        # where numpy is not installed, nothing can load it
+        proc, loaded = run_probed("normal-order", "p * x",
+                                  setup="import numpy")
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy" in loaded
 
 
 def test_each_command_loads_only_its_layer():
@@ -805,7 +832,8 @@ def test_each_command_loads_only_its_layer():
     identity table without the parser or the ordering engine.
     ``import qorder.cli`` still loads qorder.scalars, whose ScalarExpr
     the benchmark's traced CLI runs wrap.  The probe sees each of these
-    modules where a command does load it."""
+    modules where a command, or for dataclasses and inspect, which no
+    command loads, an import before it, does load it."""
     symbolic = [("normal-order", "p * x", "--format", fmt)
                 for fmt in ("human", "json", "csv")]
     symbolic += [("verify", "--identity", name) for name in _SYMBOLIC_SUITES]
@@ -820,11 +848,15 @@ def test_each_command_loads_only_its_layer():
         assert proc.returncode == 0, (args, proc.stderr)
         assert not loaded & {"qorder.parser", "qorder.ordering",
                              "qorder.identities"}, args
-    assert "inspect" in loaded      # numpy loads it
+        assert not loaded & {"dataclasses", "inspect"}, args
     proc, loaded = run_probed("verify", "--identity", "eq11")
     assert proc.returncode == 0, proc.stderr
     assert not loaded & {"qorder.parser", "qorder.ordering"}
-    assert {"qorder.identities", "numpy"} <= loaded
+    assert {"qorder.identities", "qorder._kernels"} <= loaded
+    proc, loaded = run_probed("order-scan", "--alpha-gamma", "0.25",
+                              setup="import dataclasses")
+    assert proc.returncode == 0, proc.stderr
+    assert {"dataclasses", "inspect"} <= loaded
     code = "import sys, qorder.cli; sys.exit('qorder.scalars' not in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=600)

@@ -1,21 +1,18 @@
-"""The block-evaluated lobe quadrature does not depend on its blocks,
-hands out Python scalars, converges in few lobes, and reports error
-bounds that hold against mpmath: the Mehler-Sonine half-line
-integral_0^inf sin(z cosh t) dt = (pi/2) J_0(z) (DLMF 10.9.9)."""
+"""The plain-Python lobe quadrature hands out Python scalars, converges in
+few lobes, sums each lobe in the phase variable as a lobe in t would,
+and reports error bounds that hold against mpmath: the Mehler-Sonine
+half-line integral_0^inf sin(z cosh t) dt = (pi/2) J_0(z) (DLMF 10.9.9)."""
 
 import math
 import random
 
 import mpmath
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qorder._kernels import (_LEVIN, _NODE_COLUMN, _OMEGA_INDEX, _TOL,
-                             _WEIGHT_COLUMN, _ZERO_INDEX, _head_fractions,
-                             _levin_estimates, _levin_stop, _lobe_integrals,
-                             osc_tail)
+from qorder._kernels import (_CHECK_RULE, _HEAD_RULE, _LEVIN, _LOBE_RULE,
+                             _TOL, _gauss_legendre, _head, _levin_estimates,
+                             _levin_stop, _lobes, osc_tail)
 
 # z = 2 sqrt(q) over log-spaced q in [1e-6, 1e4], 12 points a decade
 LOG_Z = tuple(2.0 * 10.0 ** (-3.0 + 5.0 * i / 60) for i in range(61))
@@ -68,9 +65,9 @@ def test_lobe_count_stays_low():
 
 
 def test_every_call_settles_within_its_block():
-    """osc_tail sums one block of 24 lobes and never continues past it:
+    """osc_tail sums at most 24 lobes and never continues past them:
     over 2 000 seeded log-uniform z in [2e-6, 1e154], every call
-    converges within that block, and a larger budget changes nothing."""
+    converges within 16 lobes, and a larger budget changes nothing."""
     rng = random.Random(13)
     most = 0
     for _ in range(2000):
@@ -80,6 +77,97 @@ def test_every_call_settles_within_its_block():
         assert osc_tail(z, max_lobes=2000) == result, z
         most = max(most, result[3])
     assert most <= 16, most
+
+
+def test_gauss_legendre_rules_are_exact():
+    """An n-point rule integrates x^k over [-1, 1] for every k < 2n, and
+    the rules built from it keep that on [0, 1] and on the half-period
+    [0, pi]: the lobe rule's cosine and sine weights sum to the integrals
+    of cos and sin there, 0 and 2."""
+    for n in (10, 12, 16, 24):
+        nodes, weights = _gauss_legendre(n)
+        assert nodes == sorted(nodes) and len(set(nodes)) == n
+        for k in range(2 * n):
+            got = math.fsum(w * x ** k for x, w in zip(nodes, weights))
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(got - want) <= 1e-14, (n, k, got)
+    for rule in (_HEAD_RULE, _CHECK_RULE):
+        for k in range(2 * len(rule)):
+            got = math.fsum(w * u ** k for u, w in rule)
+            assert abs(got - 1.0 / (k + 1)) <= 4e-15, (len(rule), k)
+    assert abs(math.fsum(wc for _, wc, _ in _LOBE_RULE)) <= 4e-15
+    assert abs(math.fsum(ws for _, _, ws in _LOBE_RULE) - 2.0) <= 4e-15
+
+
+def test_gauss_legendre_weights_match_mpmath():
+    """The weights of the kernel's rules agree with 40-digit ones from
+    mpmath's Legendre polynomials to 5e-15 relative, also next to the
+    ends, where 1 - x^2 is small."""
+    for n in (10, 12, 16):
+        nodes, weights = _gauss_legendre(n)
+        with mpmath.workdps(40):
+            for x, w in zip(nodes, weights):
+                root = mpmath.findroot(lambda t: mpmath.legendre(n, t), x)
+                slope = mpmath.diff(lambda t: mpmath.legendre(n, t), root)
+                want = 2 / ((1 - root ** 2) * slope ** 2)
+                assert abs(w / want - 1) <= 5e-15, (n, x, w)
+
+
+def test_head_within_its_error():
+    """The head's reported error, the difference of its 16- and 12-point
+    sums, bounds its miss against mpmath wherever it stands above the
+    rounding (which the 1e-15 (|value| + 1) of osc_tail covers): at more
+    than 5 of 30 seeded z in [1, 1e6]."""
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(30):
+        z = math.exp(rng.uniform(0.0, math.log(1e6)))
+        zero = 2.0 * math.pi - math.fmod(z, math.pi)
+        end = 2.0 * math.asinh(math.sqrt(0.5 * zero / z))
+        value, err = _head(z, math.sin(z), math.cos(z), end)
+        if err < 1e-14:
+            continue
+        with mpmath.workdps(30):
+            want = mpmath.quad(lambda t: mpmath.sin(z * mpmath.cosh(t)),
+                               [0, end / 2, end])
+        assert abs(value - float(want)) <= err, (z, value, err)
+        checked += 1
+    assert checked > 5, checked
+
+
+_T_RULE = _gauss_legendre(24)
+
+
+def _t_lobe(z, lower, upper):
+    """The lobe of sin(z cosh t) between the phases lower and upper, by a
+    24-point Gauss-Legendre panel in t = 2 asinh(sqrt(phi / (2 z))), with
+    sin(z + phi) formed from sin z and cos z."""
+    t0, t1 = (2.0 * math.asinh(math.sqrt(0.5 * phi / z))
+              for phi in (lower, upper))
+    total = 0.0
+    for x, w in zip(*_T_RULE):
+        s = math.sinh(0.5 * (0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x))
+        phi = z * (2.0 * s * s)
+        total += w * (math.sin(z) * math.cos(phi)
+                      + math.cos(z) * math.sin(phi))
+    return 0.5 * (t1 - t0) * total
+
+
+def test_phi_lobes_match_t_lobes():
+    """Each of the 24 lobes in phi of 40 seeded z in [2e-6, 1e6] agrees
+    with the same lobe summed in t, to 2e-14 of the first lobe, and the
+    lobes alternate in sign."""
+    rng = random.Random(11)
+    for _ in range(40):
+        z = math.exp(rng.uniform(math.log(2e-6), math.log(1e6)))
+        zero = 2.0 * math.pi - math.fmod(z, math.pi)
+        lobes = list(_lobes(z, math.sin(z), math.cos(z), zero, 24))
+        assert len(lobes) == 24
+        for j, lobe in enumerate(lobes):
+            lower = zero + j * math.pi
+            want = _t_lobe(z, lower, lower + math.pi)
+            assert abs(lobe - want) <= 2e-14 * abs(lobes[0]), (z, j, lobe)
+            assert (-1) ** j * lobe * lobes[0] > 0, (z, j)
 
 
 def _direct_levin(sums, terms, k):
@@ -96,45 +184,52 @@ def _direct_levin(sums, terms, k):
 
 
 def test_levin_estimates_match_the_formula():
-    """The matrix form gives every estimate k = 4 .. n - 1 of the
-    per-k formula, for a full block and for shorter ones."""
+    """The coefficient rows give every estimate k = 4 .. n - 1 of the
+    per-k formula, for a full budget and for shorter ones, from any
+    start."""
+    assert [len(row) for row in _LEVIN] == list(range(5, 25))
     rng = random.Random(7)
-    terms = np.array([(-1) ** i * rng.uniform(0.5, 1.5) / math.sqrt(i + 1)
-                      for i in range(24)])
-    for n in (24, 13, 5, 4):
-        sums = np.cumsum(terms[:n])
-        got = _levin_estimates(sums, terms[:n])
-        want = [_direct_levin(sums, terms, k) for k in range(4, n)]
-        assert len(got) == len(want), n
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-13 * abs(w), (n, g, w)
+    terms = [(-1) ** i * rng.uniform(0.5, 1.5) / math.sqrt(i + 1)
+             for i in range(24)]
+    for start in (0.0, 0.75):
+        sums = [start + math.fsum(terms[:i + 1]) for i in range(24)]
+        for n in (24, 13, 5, 4):
+            got = list(_levin_estimates(start, iter(terms[:n])))
+            want = [_direct_levin(sums, terms, k) for k in range(4, n)]
+            assert len(got) == len(want), n
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * abs(w), (n, g, w)
 
 
 def test_levin_estimates_sum_ln2():
     """sum (-1)^k / (k + 1) = ln 2, a series whose partial sums are off
-    by 1/(2n): the estimates reach 1e-14 within one block."""
-    k = np.arange(24.0)
-    terms = (-1.0) ** k / (k + 1.0)
-    estimates = _levin_estimates(np.cumsum(terms), terms)
-    assert np.min(np.abs(estimates - math.log(2.0))) <= 1e-14
+    by 1/(2n): the estimates reach 1e-14 within 24 terms."""
+    terms = [(-1.0) ** k / (k + 1.0) for k in range(24)]
+    estimates = list(_levin_estimates(0.0, terms))
+    assert min(abs(e - math.log(2.0)) for e in estimates) <= 1e-14
 
 
-def _numpy_stop(estimates):
-    """The stop rule of _levin_stop on numpy arrays, the reference."""
-    with np.errstate(invalid="ignore"):     # inf - inf is NaN
-        changes = np.abs(np.diff(np.array(estimates, dtype=float)))
-    small = changes < _TOL
-    hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
-    if hits.size:
-        i = int(hits[0])
-        return i + 3, float(changes[i:i + 3].max())
-    return None, float(changes[-3:].max()) if changes.size >= 3 else math.inf
+def _list_stop(estimates):
+    """The stop rule of _levin_stop read off the whole list, the
+    reference: the first three changes in a row below _TOL, else the
+    largest of the last three (inf with fewer, NaN with a NaN among
+    them)."""
+    changes = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
+    for i in range(len(changes) - 2):
+        if all(c < _TOL for c in changes[i:i + 3]):
+            return i + 3, estimates[i + 3], max(changes[i:i + 3])
+    last = estimates[-1] if estimates else None
+    if len(changes) < 3:
+        return None, last, math.inf
+    tail = changes[-3:]
+    return None, last, math.nan if any(c != c for c in tail) else max(tail)
 
 
 def test_levin_stop_matches_the_array_rule():
-    """The plain-Python scan finds the same estimate and the same largest
-    change as the same rule on arrays, NaN and infinities included, for
-    every length from no estimate to a full block."""
+    """The one-at-a-time scan finds the same estimate and the same largest
+    change as the same rule read off the whole list, NaN and infinities
+    included, for every length from no estimate to a full budget, and
+    reads no estimate past the one it accepts."""
     rng = random.Random(29)
     specials = (math.nan, math.inf, -math.inf, 0.0)
     for _ in range(4000):
@@ -145,22 +240,11 @@ def test_levin_stop_matches_the_array_rule():
                 * rng.uniform(-1.0, 1.0)
             estimates.append(rng.choice(specials) if rng.random() < 0.03
                              else value)
-        got, want = _levin_stop(estimates), _numpy_stop(estimates)
+        it = iter(estimates)
+        got, want = _levin_stop(it), _list_stop(estimates)
         assert repr(got) == repr(want), (estimates, got, want)
-
-
-def test_lobe_integrals_do_not_depend_on_the_blocks():
-    """A lobe integrated alone or inside a block sums its nodes in the
-    same order, so the two agree bit for bit."""
-    rng = random.Random(11)
-    for _ in range(2):
-        z = rng.uniform(0.1, 50.0)
-        edges = np.cumsum([rng.uniform(0.0, 0.5)] +
-                          [rng.uniform(0.01, 0.3) for _ in range(40)])
-        block = _lobe_integrals(edges[:-1], edges[1:], z)
-        alone = [_lobe_integrals(edges[i:i + 1], edges[i + 1:i + 2], z)[0]
-                 for i in range(40)]
-        assert block.tolist() == alone, z
+        read = n if got[0] is None else got[0] + 1
+        assert list(it) == estimates[read:]
 
 
 def test_osc_tail_returns_python_scalars():
@@ -180,10 +264,10 @@ def test_osc_tail_returns_python_scalars():
 
 
 def test_repeated_calls_share_no_state():
-    """The arrays built at import and the head grids cached per panel
-    count are shared by every call: a seeded sweep gives the same tuples
-    again in reverse order with other arguments in between, and none of
-    those arrays can be written to."""
+    """The rules and coefficient rows built at import are shared by every
+    call and are tuples, so no call can change them: a seeded sweep gives
+    the same tuples again in reverse order with other arguments in
+    between."""
     rng = random.Random(23)
     calls = [(math.exp(rng.uniform(math.log(1e-300), math.log(1e154))),
               rng.choice((0, 5, 10, 17, 24, 30)))
@@ -194,9 +278,6 @@ def test_repeated_calls_share_no_state():
         osc_tail(rng.uniform(1e-6, 1e3), rng.randrange(25))
         again.append(osc_tail(z, max_lobes))
     assert again[::-1] == first
-    shared = [_NODE_COLUMN, _WEIGHT_COLUMN, _LEVIN, _OMEGA_INDEX, _ZERO_INDEX,
-              *_head_fractions(1), *_head_fractions(15)]
-    for array in shared:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0.0
+    for shared in (_HEAD_RULE, _CHECK_RULE, _LOBE_RULE, _LEVIN):
+        assert type(shared) is tuple
+        assert all(type(row) is tuple for row in shared)

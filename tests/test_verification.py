@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qorder import coordinate
+from qorder import coordinate, verification
 from qorder._kernels import osc_tail
 from qorder.bessel import bessel_j
 from qorder.coordinate import (ORDER_SCAN_GRID, CoordinateEigenfunction,
@@ -83,6 +83,29 @@ def test_integral_identity_grid():
             report = verify_integral_identity(a, b, SPEC)
             assert report.passed, (a, b, report.residuals)
             assert report.max_residual <= 1e-6
+
+
+def test_integral_identity_fails_a_value_shifted_by_ten_bounds(monkeypatch):
+    """A row passes by the two sides' own bounds, the quadrature error plus
+    pi/2 times the Bessel bound, not by a fixed 1e-6: one ordering moved
+    by ten of those bounds, far below 1e-6, fails the row, and the same
+    value unmoved passes."""
+    real = verification.sin_cos_integral
+    for a, b in ((0.5, 0.5), (1.0, 2.0), (2.0, 2.0)):
+        _, err = sin_cos_integral(a, b, SPEC)
+        z = 2.0 * math.sqrt(a * b)
+        bound = err + 0.5 * math.pi * bessel_j(0.0, z).abs_error_bound
+        assert 10.0 * bound < 1e-6, (a, b, bound)
+        assert verify_integral_identity(a, b, SPEC).passed, (a, b)
+
+        def shifted(a, b, spec, sin_fast=True):
+            value, err = real(a, b, spec, sin_fast)
+            return (value + 10.0 * bound if sin_fast else value), err
+        monkeypatch.setattr(verification, "sin_cos_integral", shifted)
+        report = verify_integral_identity(a, b, SPEC)
+        monkeypatch.undo()
+        assert not report.passed, (a, b, report)
+        assert report.residuals[0] > 9.0 * bound > report.residuals[1]
 
 
 def test_integral_identity_symmetry():
@@ -242,8 +265,8 @@ def test_quadrature_rejects_overflowing_coupling():
 
 
 def test_quadrature_spec_budget_is_one_block():
-    """The default budget is the one block of 24 lobes; a larger one sums
-    no more lobes, so it gives the same results bit for bit."""
+    """The default budget is the kernel's cap of 24 lobes; a larger one
+    sums no more lobes, so it gives the same results bit for bit."""
     assert QuadratureSpec().max_subdivisions == 24
     large = QuadratureSpec(max_subdivisions=2000)
     for a, b in ((1.0, 1.0), (-3.0, 0.5), (2.0, 1e3)):
@@ -546,9 +569,8 @@ def test_residual_report_nan_fails():
 
 
 def test_kernel_results_are_python_scalars():
-    """numpy scalars from the numpy kernel path must not reach the reports:
-    numpy.bool is not JSON serializable, and numpy >= 2 prints
-    np.float64(...) where a number is formatted with repr."""
+    """The kernel and the reports hand out Python scalars, which a JSON
+    row and a repr print as plain numbers."""
     result = osc_tail(2.0)
     assert [type(v) for v in result] == [float, float, int, int]
     report = verify_integral_identity(1.0, 1.0)
