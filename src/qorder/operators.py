@@ -131,14 +131,6 @@ class OperatorExpr:
             s = ScalarExpr(s)
         return OperatorExpr(tuple(w.scaled(s) for w in self.words))
 
-    def pow(self, n: int) -> "OperatorExpr":
-        if n < 0:
-            raise ScalarError("negative powers of compound operators unsupported")
-        out = OperatorExpr.identity()
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- queries --------------------------------------------------------
     @property
     def is_scalar(self) -> bool:

@@ -35,8 +35,7 @@ from fractions import Fraction
 from ._value import Value, _set
 from .errors import OrderingError
 from .exponents import ExponentExpr, ONE_EXP
-from .operators import (BaseKind, Convention, Factor, OperatorExpr,
-                        OperatorWord, p_power, x_power)
+from .operators import BaseKind, Convention, Factor, OperatorExpr, OperatorWord
 from .parser import _factor_text, print_operator
 from .scalars import HBAR, I, ONE, ParamSymbol, ScalarExpr
 
@@ -95,14 +94,16 @@ _STEP = {Convention.COORDINATE: -I * HBAR, Convention.MOMENTUM: I * HBAR}
 
 
 def _times_base(carrier: tuple, key: tuple, s: ExponentExpr) -> tuple:
-    """carrier * B^s for the base B of ``key``; a zero exponent drops B."""
-    bases = dict(carrier)
-    total = bases[key] + s if key in bases else s
-    if total.is_zero:
-        bases.pop(key, None)
-    else:
-        bases[key] = total
-    return tuple(sorted(bases.items()))
+    """carrier * B^s for the base B of ``key``, in one pass over the
+    carrier's (key, exponent) pairs, sorted by key; a zero exponent
+    drops B."""
+    i = 0
+    while i < len(carrier) and carrier[i][0] < key:
+        i += 1
+    rest = carrier[i:]
+    if rest and rest[0][0] == key:
+        s, rest = rest[0][1] + s, rest[1:]
+    return carrier[:i] + (rest if s.is_zero else ((key, s),) + rest)
 
 
 def _leibniz(carrier: tuple):
@@ -116,7 +117,14 @@ def _leibniz(carrier: tuple):
 
 
 def _merge(acc: dict, key, coeff: ScalarExpr) -> None:
-    acc[key] = acc[key] + coeff if key in acc else coeff
+    """acc[key] += coeff, dropping a sum that is zero."""
+    old = acc.get(key)
+    if old is not None:
+        coeff = old + coeff
+        if coeff.is_zero:
+            del acc[key]
+            return
+    acc[key] = coeff
 
 
 def _fold_word(word: OperatorWord, convention: Convention) -> dict:
@@ -144,15 +152,15 @@ def _fold_word(word: OperatorWord, convention: Convention) -> dict:
             for (carrier, m), coeff in layer.items():
                 for s, term in _leibniz(carrier):
                     _merge(deeper, (term, m), coeff * s)
-            layer = {key: v for key, v in deeper.items() if not v.is_zero}
-            if not layer:
+            if not deeper:
                 break
+            layer = deeper
             binomial = binomial * (n - k + 1) // k
             step = step * c
             weight = ScalarExpr(binomial) * step
             for (term, m), coeff in layer.items():
                 _merge(moved, (term, m + n - k), coeff * weight)
-        state = {key: v for key, v in moved.items() if not v.is_zero}
+        state = moved
     return state
 
 
@@ -174,7 +182,9 @@ def _word_sort_key(word: OperatorWord):
     sig_parts = []
     for f in word.factors:
         e = f.exponent
-        val = e.const + sum(c * _generic_value(n) for n, c in e.linear)
+        val = e.const
+        if e.linear:
+            val += sum(c * _generic_value(n) for n, c in e.linear)
         if f.kind is BaseKind.P:
             p_degree += val
         else:
@@ -187,21 +197,28 @@ def normal_order(e: OperatorExpr, convention: Convention) -> NormalForm:
     """Rewrite to the convention's canonical form by the fold of the
     module docstring; its words are sorted by :func:`_word_sort_key`,
     the order in which they print."""
-    moving_power = (p_power if convention is Convention.COORDINATE
-                    else x_power)
     merged: dict = {}
     for word in e.words:
         _validate_word(word, convention)
         for key, coeff in _fold_word(word, convention).items():
             _merge(merged, key, coeff)
+    made: dict = {}
+    moving = Factor(_moving_kind(convention), ONE_EXP).base_key
+
+    def factor(item) -> Factor:
+        """The Factor of a (base key, exponent) pair, made once a call,
+        so that the words share it and its text."""
+        f = made.get(item)
+        if f is None:
+            (tag, name, deriv), s = item
+            f = made[item] = Factor(_KINDS[tag], s, name, deriv)
+        return f
+
     words = []
     for (carrier, m), coeff in merged.items():
-        if coeff.is_zero:
-            continue
-        factors = [Factor(_KINDS[k[0]], s, k[1], k[2]) for k, s in carrier]
         if m:
-            factors.append(moving_power(m))
-        words.append(OperatorWord(coeff, tuple(factors)))
+            carrier += ((moving, ExponentExpr.number(m)),)
+        words.append(OperatorWord(coeff, tuple(map(factor, carrier))))
     words.sort(key=_word_sort_key)
     return NormalForm(convention, tuple(words))
 

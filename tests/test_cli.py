@@ -185,6 +185,17 @@ def test_normal_order_nesting_limit(capsys):
         assert capsys.readouterr() == (out + "\n", "")
 
 
+def test_normal_order_expansion_limit(capsys):
+    """A product of sums past 4096 words is a parse error at the product
+    (exit 2); (x + p)^12, 4096 words, still orders."""
+    assert main(["normal-order", "x * (x+p)^13"]) == 2
+    assert capsys.readouterr() == (
+        "", "parse error: product expands to more than 4096 words"
+            " at 4..12\n")
+    assert main(["normal-order", "(x+p)^12"]) == 0
+    assert capsys.readouterr().out.startswith("p^12 + 12 * x * p^11 + 66 * x^2 * p^10")
+
+
 def test_normal_order_parse_error_span():
     proc = run_cli("normal-order", "x^(1/2")
     assert proc.returncode == 2

@@ -120,6 +120,40 @@ def test_momentum_convention_rejects_functions():
         normal_order(parse_operator("f(x) * p"), Convention.MOMENTUM)
 
 
+# -- carriers -----------------------------------------------------------------
+
+@pytest.mark.parametrize("text, convention, expected", [
+    ("x * x * p", Convention.COORDINATE, "x^2 * p"),
+    ("x * x^-1 * p", Convention.COORDINATE, "p"),
+    ("f(x)^a * f(x)^-a * p", Convention.COORDINATE, "p"),
+    ("x * p^2 * p^-2", Convention.MOMENTUM, "x"),
+    ("x^0 * p", Convention.COORDINATE, "p"),
+    ("p * x^0", Convention.COORDINATE, "p"),
+    ("f(x) * x * p", Convention.COORDINATE, "x * f(x) * p"),
+])
+def test_carrier_bases_merge_cancel_and_sort(text, convention, expected):
+    """A base joins its like base, drops out at exponent 0, or goes in
+    at its place in the base order."""
+    assert str(normal_order(parse_operator(text), convention)) == expected
+
+
+def test_times_base_matches_a_sorted_dict():
+    keys = [(0, "", 0), (1, "f", 0), (1, "f", 1), (1, "g", 0), (2, "", 0)]
+    exps = [ExponentExpr.number(n) for n in (-2, -1, 1, 2)] + [S, -S]
+    rng = random.Random(3)
+    for _ in range(2000):
+        bases = {key: rng.choice(exps)
+                 for key in rng.sample(keys, rng.randint(0, 4))}
+        carrier = tuple(sorted(bases.items()))
+        key, s = rng.choice(keys), rng.choice(exps + [ExponentExpr.number(0)])
+        total = bases[key] + s if key in bases else s
+        if total.is_zero:
+            bases.pop(key, None)
+        else:
+            bases[key] = total
+        assert _times_base(carrier, key, s) == tuple(sorted(bases.items()))
+
+
 # -- random words and the ladder ---------------------------------------------
 
 _FACTOR_POOL = [

@@ -1,12 +1,15 @@
 """Grammar, error spans, printer output, and round-trip stability."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qorder.operators import BaseKind
 from qorder.ordering import Convention, normal_order
-from qorder.parser import ParseError, parse_operator, print_operator
+from qorder.parser import (MAX_WORDS, ParseError, parse_operator,
+                           print_operator)
 
 
 def _coord_nf(text):
@@ -62,6 +65,24 @@ def test_compound_power_expands():
     assert _coord_nf("(x * p)^2") == _coord_nf("x * p * x * p")
     assert _coord_nf("(x + p)^2") == _coord_nf("x^2 + x * p + p * x + p^2")
     assert _coord_nf("(x^a)^2") == _coord_nf("x^a * x^a")
+
+
+def test_expansion_is_capped():
+    """A product or power of sums multiplies out to at most MAX_WORDS
+    words; past that it is a parse error at the product, at once."""
+    # the 13th factor is the first past 2^12 = MAX_WORDS words
+    thirteen = " * ".join(["(x+p)"] * 13)
+    for text, span in (("(x+p)^30", (0, 8)),
+                       (" * ".join(["(x+p)"] * 30), (0, len(thirteen)))):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_operator(text)
+        assert time.perf_counter() - t0 < 1.0
+        assert exc.value.message == (
+            f"product expands to more than {MAX_WORDS} words")
+        assert (exc.value.span.start, exc.value.span.end) == span
+    assert len(parse_operator("(x+p)^12").words) == MAX_WORDS
+    assert len(parse_operator("((x+p)^6)^2").words) == MAX_WORDS
 
 
 def test_parse_errors_have_spans():
