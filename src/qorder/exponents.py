@@ -59,7 +59,7 @@ class ExponentExpr(Value):
 
     @classmethod
     def number(cls, v) -> "ExponentExpr":
-        return cls(v) if type(v) is int else cls.make(const=v)
+        return cls.make(const=v)
 
     @classmethod
     def param(cls, name) -> "ExponentExpr":
@@ -75,9 +75,6 @@ class ExponentExpr(Value):
         return ExponentExpr.make(self.const + sign * other.const, terms)
 
     def __add__(self, other):
-        if (other.__class__ is ExponentExpr and not self.linear
-                and not other.linear):
-            return ExponentExpr(_rational(self.const + other.const))
         return self._combine(self._coerce(other), 1)
 
     def __sub__(self, other):

@@ -35,7 +35,8 @@ from fractions import Fraction
 from ._value import Value, _set
 from .errors import OrderingError
 from .exponents import ExponentExpr, ONE_EXP
-from .operators import BaseKind, Convention, Factor, OperatorExpr, OperatorWord
+from .operators import (BaseKind, Convention, Factor, OperatorExpr,
+                        OperatorWord, p_power, x_power)
 from .parser import _factor_text, print_operator
 from .scalars import HBAR, I, ONE, ParamSymbol, ScalarExpr
 
@@ -182,9 +183,7 @@ def _word_sort_key(word: OperatorWord):
     sig_parts = []
     for f in word.factors:
         e = f.exponent
-        val = e.const
-        if e.linear:
-            val += sum(c * _generic_value(n) for n, c in e.linear)
+        val = e.const + sum(c * _generic_value(n) for n, c in e.linear)
         if f.kind is BaseKind.P:
             p_degree += val
         else:
@@ -197,28 +196,19 @@ def normal_order(e: OperatorExpr, convention: Convention) -> NormalForm:
     """Rewrite to the convention's canonical form by the fold of the
     module docstring; its words are sorted by :func:`_word_sort_key`,
     the order in which they print."""
+    moving_power = (p_power if convention is Convention.COORDINATE
+                    else x_power)
     merged: dict = {}
     for word in e.words:
         _validate_word(word, convention)
         for key, coeff in _fold_word(word, convention).items():
             _merge(merged, key, coeff)
-    made: dict = {}
-    moving = Factor(_moving_kind(convention), ONE_EXP).base_key
-
-    def factor(item) -> Factor:
-        """The Factor of a (base key, exponent) pair, made once a call,
-        so that the words share it and its text."""
-        f = made.get(item)
-        if f is None:
-            (tag, name, deriv), s = item
-            f = made[item] = Factor(_KINDS[tag], s, name, deriv)
-        return f
-
     words = []
     for (carrier, m), coeff in merged.items():
+        factors = [Factor(_KINDS[k[0]], s, k[1], k[2]) for k, s in carrier]
         if m:
-            carrier += ((moving, ExponentExpr.number(m)),)
-        words.append(OperatorWord(coeff, tuple(map(factor, carrier))))
+            factors.append(moving_power(m))
+        words.append(OperatorWord(coeff, tuple(factors)))
     words.sort(key=_word_sort_key)
     return NormalForm(convention, tuple(words))
 

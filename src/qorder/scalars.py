@@ -147,9 +147,6 @@ def _padd(a, b, scale=None):
 
 
 def _pmul(a, b):
-    if len(a) == 1 == len(b):  # one term each: one nonzero term
-        ((ma, ca),), ((mb, cb),) = a.items(), b.items()
-        return {_mono_mul(ma, mb): _gmul(ca, cb)}
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
