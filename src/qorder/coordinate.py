@@ -1,6 +1,6 @@
 """The coordinate side of the numeric check, in plain Python: the
 eigenfunction psi(x) = J_nu(2 sqrt(E x) / hbar), its ODE residual, and
-the fit of the Bessel order nu to the coupling alpha gamma.
+the regula falsi fit of nu^2 to the coupling alpha gamma.
 
 The module imports no quadrature, so ``qorder order-scan`` starts
 without the lobe kernel.
@@ -136,68 +136,45 @@ def order_coupling(nu: float, E: float, hbar: float) -> float:
     return coupling
 
 
-def _brent_root(f, a, b, fa, fb, tol):
-    """Root of f in the bracket [a, b], fa = f(a) and fb = f(b) of
-    opposite signs, to a bracket of tol: Brent's method (Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
-    Each step is inverse quadratic or secant interpolation where that
-    shrinks the bracket fast enough, and bisection where it does not."""
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):       # b is the best estimate, c the far end
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        half_tol = 0.5 * tol
-        m = 0.5 * (c - b)
-        if abs(m) <= half_tol or fb == 0.0:
-            return b
-        if abs(e) >= half_tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:              # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:                   # inverse quadratic
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(half_tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > half_tol else math.copysign(half_tol, m)
-        fb = f(b)
-
-
 def determine_bessel_order(alpha_gamma: float, E: float = 1.0,
                            hbar: float = 1.0) -> float:
-    """Order nu in [0, 2] whose least-squares coupling is alpha gamma.
-
-    Expected to equal 2 sqrt(alpha gamma).  The fit is 0 where the
-    coupling at 0 is already alpha gamma or more, and 2 where the
-    coupling at 2 is still alpha gamma or less.  Otherwise it is the
-    root of order_coupling(nu) = alpha gamma on [0, 2], by Brent's
-    method to a bracket of 1e-10.
+    """Order nu in [0, 2] whose least-squares coupling is alpha gamma,
+    expected to equal 2 sqrt(alpha gamma): 0 where the coupling at 0 is
+    alpha gamma or more, 2 where the coupling at 2 is alpha gamma or
+    less, else the root of g(s) = order_coupling(sqrt s) - alpha gamma,
+    a line up to rounding, on s = nu^2 in [0, 4].  Regula falsi with the
+    Illinois rule (Dowell & Jarratt, BIT 11, 168 (1971)) halves the g of
+    an end kept twice in a row.  It stops at g(s) = 0, at an interpolated
+    s not strictly inside the bracket, or at a bracket of 1e-10 in nu,
+    and gives sqrt of s, or of the end with the smaller |g|.
     """
     if not 0.0 <= alpha_gamma <= 1.0:
         raise ValueError("domain error: determine_bessel_order needs "
                          f"0 <= alpha_gamma <= 1, got {alpha_gamma!r}")
 
-    def excess(nu):
-        return order_coupling(nu, E, hbar) - alpha_gamma
+    def excess(s):
+        return order_coupling(math.sqrt(s), E, hbar) - alpha_gamma
 
-    f0 = excess(0.0)
-    if f0 >= 0.0:
+    a, ga = 0.0, excess(0.0)
+    if ga >= 0.0:
         return 0.0
-    f2 = excess(2.0)
-    if f2 <= 0.0:
+    b, gb = 4.0, excess(4.0)
+    if gb <= 0.0:
         return 2.0
-    return _brent_root(excess, 0.0, 2.0, f0, f2, _FIT_BRACKET)
+    moved = 0                       # the end moved last: -1 a, 1 b
+    while math.sqrt(b) - math.sqrt(a) > _FIT_BRACKET:
+        s = b - gb * (b - a) / (gb - ga)
+        if not a < s < b:
+            break
+        g = excess(s)
+        if g == 0.0:
+            return math.sqrt(s)
+        if g < 0.0:
+            a, ga = s, g
+            gb *= 0.5 if moved < 0 else 1.0
+            moved = -1
+        else:
+            b, gb = s, g
+            ga *= 0.5 if moved > 0 else 1.0
+            moved = 1
+    return math.sqrt(a if -ga < gb else b)

@@ -17,9 +17,9 @@ numbers and bare identifiers are scalars and fold into the word
 coefficient.  ``f'(x)`` with k apostrophes denotes the k-th formal
 derivative of the abstract function f.  Exponents must be affine
 combinations of numbers and parameter identifiers.  Parentheses nest at
-most MAX_NESTING (200) deep, in expressions and exponents together, and
-a product or power of sums multiplies out to at most MAX_WORDS (4096)
-words.
+most MAX_NESTING (200) deep, in expressions and exponents together, a
+product or power of sums multiplies out to at most MAX_WORDS (4096)
+words, and a power of one word to at most MAX_WORDS factors.
 
 The printer prints the words of an expression in the order it is given
 them.  Word order is decided once, by :func:`qorder.ordering.normal_order`,
@@ -69,7 +69,8 @@ _KIND = {**{chr(c): "IDENT" for c in range(128) if chr(c).isidentifier()},
 # well inside the interpreter's default recursion limit of 1000
 MAX_NESTING = 200
 # the most words a product or power of sums may multiply out to, before
-# any normal ordering: (x + p)^12 is 4096 words and orders in under 1 s
+# any normal ordering: (x + p)^12 is 4096 words and orders in under 1 s;
+# also the most factors a power of one word may hold
 MAX_WORDS = 4096
 
 
@@ -287,7 +288,7 @@ class _Parser:
     def factor(self) -> OperatorExpr:
         """base ('^' exponent)?; a bare factor with exponent 1 takes the
         exponent, a scalar an integer power, anything else a nonnegative
-        integer power."""
+        integer power: one word's in one step, a sum's by products."""
         first = self.pos
         if self.cur != "(":
             return OperatorExpr((OperatorWord(*self.power()),))
@@ -307,6 +308,14 @@ class _Parser:
         if n is None or n < 0:
             raise self.error("unsupported exponent on compound expression",
                              ["nonnegative integer"], caret)
+        if len(base.words) == 1:
+            word = base.words[0]
+            if len(word.factors) * n > MAX_WORDS:
+                raise ParseError(f"power expands to more than {MAX_WORDS}"
+                                 " factors", self.span(first, self.pos - 1),
+                                 [])
+            return OperatorExpr((OperatorWord(word.coefficient ** n,
+                                              word.factors * n),))
         out = OperatorExpr.identity()
         for _ in range(n):
             out = self.multiply(out, base, first)

@@ -186,12 +186,17 @@ def test_normal_order_nesting_limit(capsys):
 
 
 def test_normal_order_expansion_limit(capsys):
-    """A product of sums past 4096 words is a parse error at the product
-    (exit 2); (x + p)^12, 4096 words, still orders."""
+    """A product of sums past 4096 words, or a power of one word past
+    4096 factors, is a parse error at the product or power (exit 2);
+    (x + p)^12, 4096 words, still orders."""
     assert main(["normal-order", "x * (x+p)^13"]) == 2
     assert capsys.readouterr() == (
         "", "parse error: product expands to more than 4096 words"
             " at 4..12\n")
+    assert main(["normal-order", "(x * p)^1000000000"]) == 2
+    assert capsys.readouterr() == (
+        "", "parse error: power expands to more than 4096 factors"
+            " at 0..18\n")
     assert main(["normal-order", "(x+p)^12"]) == 0
     assert capsys.readouterr().out.startswith("p^12 + 12 * x * p^11 + 66 * x^2 * p^10")
 
@@ -369,20 +374,20 @@ _NUMERIC_GOLDEN = [
      "alpha*gamma=0: fitted order 0.000000, 2*sqrt = 0.000000, "
      "coupling-as-index 0; residual fitted 1.79e-16, coupling 1.79e-16\n"
      "alpha*gamma=0.25: fitted order 1.000000, 2*sqrt = 1.000000, "
-     "coupling-as-index 0.25; residual fitted 1.10e-11, coupling 9.38e-01\n"),
+     "coupling-as-index 0.25; residual fitted 2.95e-16, coupling 9.38e-01\n"),
     (_SCAN + ["json"],
      '[{"alpha_gamma": 0.0, "fitted_order": 0.0, "two_sqrt_alpha_gamma": 0.0, '
      '"coupling_index": 0.0, "fitted_residual": 1.7896846186432773e-16, '
      '"coupling_index_residual": 1.7896846186432773e-16}, '
-     '{"alpha_gamma": 0.25, "fitted_order": 0.9999999999912847, '
+     '{"alpha_gamma": 0.25, "fitted_order": 1.0, '
      '"two_sqrt_alpha_gamma": 1.0, "coupling_index": 0.25, '
-     '"fitted_residual": 1.0990408559509366e-11, '
+     '"fitted_residual": 2.9540274576998497e-16, '
      '"coupling_index_residual": 0.9375000000000001}]\n'),
     (_SCAN + ["csv"],
      "alpha_gamma,fitted_order,two_sqrt_alpha_gamma,coupling_index,"
      "fitted_residual,coupling_index_residual\n"
      "0.0,0.0,0.0,0.0,1.7896846186432773e-16,1.7896846186432773e-16\n"
-     "0.25,0.9999999999912847,1.0,0.25,1.0990408559509366e-11,"
+     "0.25,1.0,1.0,0.25,2.9540274576998497e-16,"
      "0.9375000000000001\n"),
     (_SOLVE + ["csv"],
      "x,psi_re,psi_im,j0,ratio_re,ratio_im,failed\n"

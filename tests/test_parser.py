@@ -65,6 +65,26 @@ def test_compound_power_expands():
     assert _coord_nf("(x^a)^2") == _coord_nf("x^a * x^a")
 
 
+def test_power_of_one_word():
+    """A nonnegative integer power of one word repeats its factors and
+    raises its coefficient in one step, and prints as the repeated
+    product did; past MAX_WORDS factors it is a parse error at the
+    power, however large the exponent."""
+    assert print_operator(parse_operator("(x * p)^3")) == (
+        "x * p * x * p * x * p")
+    assert print_operator(parse_operator("(2 * x * p)^3")) == (
+        "8 * x * p * x * p * x * p")
+    assert print_operator(parse_operator("(x * p)^0")) == "1"
+    (word,) = parse_operator(f"(x * p)^{MAX_WORDS // 2}").words
+    assert len(word.factors) == MAX_WORDS
+    for text in (f"(x * p)^{MAX_WORDS // 2 + 1}", "(x * p)^1000000000"):
+        with pytest.raises(ParseError) as exc:
+            parse_operator(text)
+        assert exc.value.message == (
+            f"power expands to more than {MAX_WORDS} factors")
+        assert (exc.value.span.start, exc.value.span.end) == (0, len(text))
+
+
 def test_expansion_is_capped(monkeypatch):
     """A product or power of sums multiplies out to at most MAX_WORDS
     words; past that it is a parse error at the product, before the

@@ -460,10 +460,10 @@ def _counting_fit(monkeypatch):
 
 
 def test_order_fit_residual_budget(monkeypatch):
-    """One fit makes at most 60 evaluations of the least-squares
-    coupling, and no ODE residual: Brent's method on [0, 2] to a bracket
-    of 1e-10 takes at most 29 over the couplings above, where bisection
-    would take 35 and a fine scan of the interval hundreds."""
+    """One fit makes at most 20 evaluations of the least-squares
+    coupling, and no ODE residual: regula falsi in nu^2 to a bracket of
+    1e-10 in nu takes at most 5 over the couplings above, where
+    bisection on [0, 2] would take 35 and a fine scan hundreds."""
     residuals = []
     monkeypatch.setattr(coordinate, "coordinate_ode_residual",
                         lambda *args: residuals.append(args))
@@ -473,12 +473,26 @@ def test_order_fit_residual_budget(monkeypatch):
         nu, evaluations = fit(ag, 1.0)
         assert abs(nu - 2.0 * math.sqrt(ag)) <= 1e-6, ag
         counts.append(evaluations)
-    assert 0 < max(counts) <= 60 and not residuals
+    assert 0 < max(counts) <= 20 and not residuals
+
+
+def test_order_fit_to_rounding_at_unit_scale():
+    """At E = hbar = 1 the fit is within 1e-12 of 2 sqrt(alpha gamma) for
+    every coupling above from 1e-4 up.  Below that it cannot be: near
+    alpha gamma = 0 the coupling is nu^2 / 4 plus a rounding r, so any
+    root finder resolves nu only to about r / sqrt(alpha gamma), and at
+    worst 2 sqrt(|r|): 2.5e-11 at alpha gamma = 1e-12 here and 1.4e-7 at
+    E = 64, alpha gamma = 0, inside the 1e-6 of the tests above and
+    below."""
+    for ag in _FIT_COUPLINGS:
+        if ag >= 1e-4:
+            nu = determine_bessel_order(ag)
+            assert abs(nu - 2.0 * math.sqrt(ag)) <= 1e-12, (ag, nu)
 
 
 # E / hbar^2 over the range the README states, up to 1e6: below
 # ~1.5e-155 the coupling underflows, and near the top of the Bessel
-# range, 2 sqrt(2.95 E) / hbar = 1e4, the fit drifts to ~1e-5
+# range, 2 sqrt(2.95 E) / hbar = 1e4, the fit drifts past 1e-6
 _FIT_SCALES = (1e-150, 1e-20, 1e-5, 0.125, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0,
                64.0, 256.0, 4096.0, 65536.0, 1e6)
 
@@ -486,7 +500,7 @@ _FIT_SCALES = (1e-150, 1e-20, 1e-5, 0.125, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0,
 @pytest.mark.parametrize("j", range(len(_FIT_SCALES)))
 def test_order_fit_across_energy_scales(j, monkeypatch):
     """The fit finds 2 sqrt(alpha gamma) for E / hbar^2 from 1e-150 to
-    1e6, within 60 coupling evaluations; from 8 up the residual has
+    1e6, within 20 coupling evaluations; from 8 up the residual has
     several local minima on [0, 2], where minimizing it went wrong.  The
     couplings k / 45, k = 0..45, are dealt out over the scales, every
     fifteenth to each, so that the sweep costs 46 fits."""
@@ -496,7 +510,7 @@ def test_order_fit_across_energy_scales(j, monkeypatch):
         ag = k / 45
         nu, evaluations = fit(ag, scale)
         assert abs(nu - 2.0 * math.sqrt(ag)) <= 1e-6, (scale, ag, nu)
-        assert evaluations <= 60, (scale, ag, evaluations)
+        assert evaluations <= 20, (scale, ag, evaluations)
 
 
 def test_order_fit_at_the_ends_of_the_scale_range():
