@@ -185,9 +185,9 @@ def _cmd_solve(args) -> int:
         try:
             rec = fourier_reconstruct_detailed(psi, x)
             value, failed = rec.value, False
-        except QuadratureError as err:
-            value = complex(err.value) if err.value is not None else 0j
-            failed = True
+        except QuadratureError:
+            # no value to print: the row is flagged, its psi nan (null)
+            value, failed = complex(math.nan, math.nan), True
         try:
             j0 = bessel_j(0.0, 2.0 * math.sqrt(args.E * abs(x))
                           / args.hbar).value

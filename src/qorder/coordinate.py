@@ -139,7 +139,8 @@ def order_coupling(nu: float, E: float, hbar: float) -> float:
 def determine_bessel_order(alpha_gamma: float, E: float = 1.0,
                            hbar: float = 1.0) -> float:
     """Order nu in [0, 2] whose least-squares coupling is alpha gamma,
-    expected to equal 2 sqrt(alpha gamma): 0 where the coupling at 0 is
+    expected to equal 2 sqrt(alpha gamma): 0 where the coupling at 0,
+    read as 0 where it rounds below (nu^2 / 4 is never negative), is
     alpha gamma or more, 2 where the coupling at 2 is alpha gamma or
     less, else the root of g(s) = order_coupling(sqrt s) - alpha gamma,
     a line up to rounding, on s = nu^2 in [0, 4].  Regula falsi with the
@@ -155,7 +156,7 @@ def determine_bessel_order(alpha_gamma: float, E: float = 1.0,
     def excess(s):
         return order_coupling(math.sqrt(s), E, hbar) - alpha_gamma
 
-    a, ga = 0.0, excess(0.0)
+    a, ga = 0.0, max(order_coupling(0.0, E, hbar), 0.0) - alpha_gamma
     if ga >= 0.0:
         return 0.0
     b, gb = 4.0, excess(4.0)

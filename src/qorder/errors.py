@@ -48,11 +48,11 @@ class BesselDomainError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the lobe sums fail to converge; carries the partial
-    value, the error estimate and the number of lobes summed."""
+    """Raised when a half-line integral has no value to stand behind: its
+    lobe sums did not settle within the budget, or its phase coupling
+    overflows.  Carries the number of lobes summed (None where none were)
+    and no partial value."""
 
-    def __init__(self, message, value=None, error=None, lobes=None):
+    def __init__(self, message, lobes=None):
         super().__init__(message)
-        self.value = value
-        self.error = error
         self.lobes = lobes

@@ -32,9 +32,7 @@ class BaseKind(enum.Enum):
 
 
 class Factor(Value):
-    _fields = ("kind", "exponent", "name", "deriv")
-    # _text: the printed text, set by qorder.parser on first print
-    __slots__ = _fields + ("_text",)
+    __slots__ = _fields = ("kind", "exponent", "name", "deriv")
 
     def __init__(self, kind: BaseKind, exponent: ExponentExpr,
                  name: str = "", deriv: int = 0):

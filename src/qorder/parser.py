@@ -33,7 +33,6 @@ import re
 import sys
 from fractions import Fraction
 
-from ._value import _set
 from .errors import ParseError, SourceSpan
 from .exponents import ONE_EXP, ExponentExpr
 from .operators import (BaseKind, Factor, OperatorExpr, OperatorWord,
@@ -400,19 +399,15 @@ def _exponent_text(e: ExponentExpr) -> str:
 
 
 def _factor_text(f: Factor) -> str:
-    """The factor's text, formatted on the first call and kept in the
-    factor, so that normal_order's sort and the printer share it."""
-    text = getattr(f, "_text", None)
-    if text is None:
-        if f.kind is BaseKind.X:
-            text = "x"
-        elif f.kind is BaseKind.P:
-            text = "p"
-        else:
-            text = f.name + "'" * f.deriv + "(x)"
-        if f.exponent != ONE_EXP:
-            text = f"{text}^{_exponent_text(f.exponent)}"
-        _set(f, "_text", text)
+    """The factor's text, as normal_order's sort and the printer use it."""
+    if f.kind is BaseKind.X:
+        text = "x"
+    elif f.kind is BaseKind.P:
+        text = "p"
+    else:
+        text = f.name + "'" * f.deriv + "(x)"
+    if f.exponent != ONE_EXP:
+        text = f"{text}^{_exponent_text(f.exponent)}"
     return text
 
 

@@ -13,7 +13,8 @@ at most 24 lobes.  For a < 0 < b, Phi is 0 exactly:
 the substitution u -> b/(|a| u) maps Phi(a, b) to -Phi(a, b) (in the
 same variables the phase is -z sinh t, odd in t), so nothing is
 integrated there.  A half-line integral that does not settle within
-its lobe budget raises :class:`QuadratureError`.
+its lobe budget raises :class:`QuadratureError` with the lobes summed;
+the kernel's last unsettled estimate goes no further than this module.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def sin_phase_integral(a: float, b: float,
     if not converged:
         raise QuadratureError(
             f"quadrature failed to converge: z={z!r}, {lobes} lobes",
-            value=value, error=err, lobes=lobes)
+            lobes=lobes)
     return 2.0 * value, 2.0 * err + pad
 
 

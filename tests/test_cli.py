@@ -530,14 +530,37 @@ def test_solve_rejects_a_grid_step_that_overflows(capsys):
 
 def test_solve_partial_results_on_failure():
     """Rows whose phase coupling |x| E / hbar^2 overflows fail their
-    quadrature; they are still emitted and flagged, and the row before
-    them is computed as usual."""
+    quadrature; they are still emitted and flagged, with psi nan, and
+    the row before them is computed as usual."""
     proc = run_cli("solve", "--E", "1e300", "--x-grid=0:1e300:3")
     assert proc.returncode == 4
     lines = proc.stdout.strip().split("\n")
     assert len(lines) == 4
     assert [line.split(",")[-1] for line in lines[1:]] \
         == ["false", "true", "true"]
+    assert [line.split(",")[1:3] for line in lines[2:]] \
+        == [["nan", "nan"], ["nan", "nan"]]
+
+
+def test_solve_unconverged_rows_print_no_psi(monkeypatch, capsys):
+    """With a 5-lobe cap no lobe sum settles, so every reconstruction on
+    x > 0 fails: each row is flagged and prints psi as nan, null in
+    JSON, not the unsettled half-line estimate."""
+    from qorder import _kernels
+    monkeypatch.setattr(_kernels, "_MAX_LOBES", 5)
+    argv = ["solve", "--E", "1", "--x-grid", "0.5:2:4"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 4
+    assert all(row[1:3] == ["nan", "nan"] and row[-1] == "true"
+               for row in rows), rows
+    assert main(argv + ["--format", "json"]) == 4
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 4
+    assert all(row["psi_re"] is None and row["psi_im"] is None
+               and row["failed"] for row in rows), rows
 
 
 def test_solve_names_the_options_whose_ratio_overflows():

@@ -10,9 +10,11 @@ import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qorder._kernels import (_CHECK_RULE, _HEAD_RULE, _LEVIN, _LOBE_RULE,
-                             _TOL, _gauss_legendre, _head, _levin_estimates,
-                             _levin_stop, _lobes, osc_tail)
+from qorder import _kernels
+from qorder._kernels import (_CHECK_RULE, _FIRST_ESTIMATE, _HEAD_RULE,
+                             _LEVIN, _LOBE_RULE, _MAX_LOBES, _TOL,
+                             _gauss_legendre, _head, _levin_estimates,
+                             _lobes, osc_tail)
 
 # z = 2 sqrt(q) over log-spaced q in [1e-6, 1e4], 12 points a decade
 LOG_Z = tuple(2.0 * 10.0 ** (-3.0 + 5.0 * i / 60) for i in range(61))
@@ -210,10 +212,9 @@ def test_levin_estimates_sum_ln2():
 
 
 def _list_stop(estimates):
-    """The stop rule of _levin_stop read off the whole list, the
-    reference: the first three changes in a row below _TOL, else the
-    largest of the last three (inf with fewer, NaN with a NaN among
-    them)."""
+    """The stop rule of osc_tail read off the whole list, the reference:
+    the first three changes in a row below _TOL, else the largest of the
+    last three (inf with fewer, NaN with a NaN among them)."""
     changes = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
     for i in range(len(changes) - 2):
         if all(c < _TOL for c in changes[i:i + 3]):
@@ -225,11 +226,15 @@ def _list_stop(estimates):
     return None, last, math.nan if any(c != c for c in tail) else max(tail)
 
 
-def test_levin_stop_matches_the_array_rule():
-    """The one-at-a-time scan finds the same estimate and the same largest
-    change as the same rule read off the whole list, NaN and infinities
+def test_osc_tail_stop_matches_the_array_rule(monkeypatch):
+    """osc_tail's estimate loop returns the same estimate, error and lobe
+    count as the stop rule read off the whole list, NaN and infinities
     included, for every length from no estimate to a full budget, and
     reads no estimate past the one it accepts."""
+    head, head_err = 0.25, 3e-14
+    it = iter(())
+    monkeypatch.setattr(_kernels, "_head", lambda *args: (head, head_err))
+    monkeypatch.setattr(_kernels, "_levin_estimates", lambda start, lobes: it)
     rng = random.Random(29)
     specials = (math.nan, math.inf, -math.inf, 0.0)
     for _ in range(4000):
@@ -241,9 +246,17 @@ def test_levin_stop_matches_the_array_rule():
             estimates.append(rng.choice(specials) if rng.random() < 0.03
                              else value)
         it = iter(estimates)
-        got, want = _levin_stop(it), _list_stop(estimates)
-        assert repr(got) == repr(want), (estimates, got, want)
-        read = n if got[0] is None else got[0] + 1
+        got = osc_tail(2.0)
+        k, value, change = _list_stop(estimates)
+        if k is None:
+            value = head if value is None else value
+            converged, used = 0, _MAX_LOBES
+        else:
+            converged, used = 1, k + _FIRST_ESTIMATE + 1
+        err = 2.0 * change + head_err + 1e-15 * (abs(value) + 1.0)
+        assert repr(got) == repr((value, err, converged, used)), \
+            (estimates, got)
+        read = n if k is None else k + 1
         assert list(it) == estimates[read:]
 
 

@@ -369,26 +369,3 @@ def test_oracle_checks_swap_axiom():
         lhs = parse_operator(f"p * x^{s}")
         rhs = parse_operator(f"x^{s} * p - {s} * i * hbar * x^{s - 1}")
         assert oracle_equal(lhs, rhs, phi)
-
-
-def test_output_factors_are_formatted_once(monkeypatch):
-    """normal_order's sort formats each output factor and keeps the text
-    in it, so printing the normal form formats nothing again; the kept
-    text is no field: a printed factor still equals, and hashes like, a
-    fresh one."""
-    import qorder.parser as parser
-    nf = normal_order(parse_operator("p^2 * f(x)^(1/2) * x^3 * p"),
-                      Convention.COORDINATE)
-    factors = [f for word in nf.words for f in word.factors]
-    assert factors and all(getattr(f, "_text", None) for f in factors)
-    formatted = []
-    real = parser._exponent_text
-    monkeypatch.setattr(parser, "_exponent_text",
-                        lambda e: formatted.append(e) or real(e))
-    text = print_operator(nf.as_operator_expr())
-    monkeypatch.undo()
-    assert formatted == [] and text == str(nf)
-    fresh = Factor(factors[0].kind, factors[0].exponent, factors[0].name,
-                   factors[0].deriv)
-    assert fresh == factors[0] and hash(fresh) == hash(factors[0])
-    assert repr(fresh) == repr(factors[0])
